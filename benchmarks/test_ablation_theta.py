@@ -67,13 +67,3 @@ def test_theta_tradeoff(tree, report):
     assert series[1.5][0] > series[0.3][0]
     # The default setting is a real win: >5x fewer interactions.
     assert series[0.7][1] < series[0.0][1] / 5
-
-
-def test_theta_speed(benchmark, tree):
-    """Bench: one full force pass at the default theta."""
-
-    def sweep():
-        return [tree.force_on(i, 100.0, 0.7) for i in range(0, N, 4)]
-
-    forces = benchmark(sweep)
-    assert len(forces) == N // 4

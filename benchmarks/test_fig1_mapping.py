@@ -45,15 +45,3 @@ def test_fig1_series(cursor_rows, report):
     # LinkA's fill peaks at the middle cursor.
     fills = [cursor_rows[l]["LinkA"][1] for l, _ in CURSORS]
     assert fills[1] == max(fills)
-
-
-def test_fig1_view_build_speed(benchmark):
-    """Bench: building one instantaneous-cursor view."""
-    session = AnalysisSession(figure1_trace(), seed=1)
-
-    def build():
-        session.set_time_slice(6.0, 6.0)
-        return session.view(settle=False)
-
-    view = benchmark(build)
-    assert len(view) == 3

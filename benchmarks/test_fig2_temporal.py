@@ -42,12 +42,3 @@ def test_fig2_small_events_attenuated():
     narrow = TimeSlice(4.9, 5.1)
     assert wide.value_of(spike) == pytest.approx(2.0)  # spike washed out
     assert narrow.value_of(spike) == pytest.approx(100.0)
-
-
-def test_fig2_integration_speed(benchmark):
-    """Bench: exact integration over a long (10k-step) signal."""
-    times = [float(i) for i in range(10_000)]
-    values = [float(i % 97) for i in range(10_000)]
-    signal = Signal(times, values)
-    total = benchmark(signal.integrate, 0.0, 9_999.0)
-    assert total > 0

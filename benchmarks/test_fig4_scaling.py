@@ -50,14 +50,3 @@ def test_fig4_schemes(session, report):
     # Scheme C: hosts grew, links shrank.
     assert c["HostB"] > b["HostB"]
     assert c["LinkA"] < b["LinkA"]
-
-
-def test_fig4_visgraph_build_speed(benchmark, session):
-    """Bench: styling + scaling a view (the per-frame hot path)."""
-
-    def build():
-        session.set_time_slice(0.0, 5.0)
-        return session.view(settle=False)
-
-    view = benchmark(build)
-    assert len(view) == 3

@@ -111,16 +111,3 @@ def test_fig5_charge_series_matches_scalar_oracle():
         layout.run(max_steps=500, tolerance=0.05)
         dispersions.append(layout.dispersion())
     assert dispersions[0] < dispersions[1]
-
-
-def test_fig5_layout_convergence_speed(benchmark):
-    """Bench: settling the two-cluster layout from scratch."""
-
-    def run():
-        layout = make_layout("barneshut", LayoutParams(), seed=3)
-        two_cluster_graph(layout)
-        layout.run(max_steps=200, tolerance=0.5)
-        return layout
-
-    layout = benchmark(run)
-    assert len(layout) == 16

@@ -2,66 +2,23 @@
 
 "The basic force-directed algorithm has severe performance problems on
 scale — O(n^2) ... we adopt the scalable Barnes-hut algorithm —
-O(n log n)."  Reproduced three ways:
+O(n log n)."  Reproduced here by **interaction counts**: the naive pass
+evaluates exactly ``n - 1`` pairwise interactions per node; Barnes-Hut
+evaluates one per accepted cell, growing ~logarithmically with *n*.
 
-* **interaction counts** — the naive pass evaluates exactly ``n - 1``
-  pairwise interactions per node; Barnes-Hut evaluates one per accepted
-  cell, growing ~logarithmically with *n*;
-* **wall time per step** — both layouts benchmarked on the same
-  clustered random graphs.  (The numpy-vectorized naive baseline has a
-  much smaller constant, so the asymptotic win shows in counts at any
-  size and in wall time at large sizes.)
-* **kernel speedup** — the vectorized array kernel vs the legacy
-  scalar quadtree walk on the same 2000-node graph; the measured
-  per-step times land in ``results/layout_kernel_speedup.json``.
+The wall-time half of the claim (array vs scalar kernel, sharded vs
+array) is a speedup floor of the ``layout`` suite of ``repro bench``.
 
-Set ``REPRO_BENCH_QUICK=1`` to shrink sizes/repetitions for CI smoke
-runs.
+Set ``REPRO_BENCH_QUICK=1`` to shrink sizes for CI smoke runs.
 """
 
-import json
 import math
-import os
 import random
-from pathlib import Path
 
-import pytest
-
-from repro.core import LayoutParams, QuadTree, make_layout
+from repro.core import QuadTree
 from repro.obs import bench
 
-QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-
-def clustered_graph(layout, n, seed=0, settle=5):
-    """n nodes in sqrt(n) star clusters chained by bridges."""
-    n_clusters = max(1, int(math.sqrt(n)))
-    hubs = []
-    names = []
-    edges = []
-    count = 0
-    for c in range(n_clusters):
-        hub = f"hub{c}"
-        names.append(hub)
-        hubs.append(hub)
-        count += 1
-        while count < (c + 1) * n // n_clusters:
-            name = f"n{count}"
-            names.append(name)
-            edges.append((hub, name))
-            count += 1
-    # Bulk insertion: O(n) instead of add_node's quadratic copies, with
-    # placement identical to per-node calls in the same order — it has
-    # to stay linear for the 100k-body sharded case below.
-    layout.add_nodes(names)
-    for a, b in edges:
-        layout.add_edge(a, b)
-    for a, b in zip(hubs, hubs[1:]):
-        layout.add_edge(a, b)
-    # Shake once so positions are not the initial disc.
-    layout.run(max_steps=settle, tolerance=0.0)
-    return layout
-
+QUICK = bench.quick_mode()
 
 SIZES = (64, 256) if QUICK else (64, 256, 1024, 4096)
 
@@ -93,22 +50,11 @@ def test_interaction_counts_scale_n_log_n(report):
     ]
 
 
-@pytest.mark.parametrize("algorithm", ["naive", "barneshut"])
-@pytest.mark.parametrize("n", [256, 1024])
-def test_step_time(benchmark, algorithm, n):
-    """Bench: one layout step per algorithm and size (compare groups)."""
-    layout = make_layout(algorithm, LayoutParams(), seed=2)
-    clustered_graph(layout, n)
-    benchmark.group = f"layout-step-n{n}"
-    benchmark(layout.step)
-
-
 def test_barneshut_handles_grid_scale():
     """A 4000+-node layout converges in bounded time (the paper's
     host-level Grid'5000 view)."""
     n = 1024 if QUICK else 4096
-    layout = make_layout("barneshut", LayoutParams(), seed=3)
-    clustered_graph(layout, n)
+    layout = bench.clustered_layout(n, seed=3)
     moved = layout.step()
     assert math.isfinite(moved)
     assert len(layout) == n
@@ -117,144 +63,3 @@ def test_barneshut_handles_grid_scale():
     assert stats["cells"] > n
     assert stats["p2p_pairs"] > 0
     assert stats["build_s"] + stats["traverse_s"] > 0.0
-
-
-#: The acceptance bar for the vectorized kernel, per relaxation step.
-SPEEDUP_N = 500 if QUICK else 2000
-SPEEDUP_FLOOR = 2.5 if QUICK else 5.0
-
-
-def test_vectorized_kernel_speedup(report):
-    """Array kernel vs the legacy scalar walk on the same graph.
-
-    Both layouts are built identically (same seed, same clustered
-    topology) and timed over whole relaxation steps — tree build (or
-    reuse), traversal, springs and integration included — through the
-    calibrated :func:`repro.obs.bench.measure` harness, so the numbers
-    in ``results/layout_kernel_speedup.json`` carry the same robust
-    statistics (median/IQR/MAD) as every ``BENCH_<suite>.json``.
-    """
-    measured = {}
-    for kernel, reps in (("scalar", 3 if QUICK else 5), ("array", 10 if QUICK else 30)):
-        layout = make_layout("barneshut", LayoutParams(), seed=2, kernel=kernel)
-        clustered_graph(layout, SPEEDUP_N)
-        timing = bench.measure(
-            layout.step, quick=QUICK, warmup=1, repeats=reps, min_sample_s=0.0
-        )
-        stats = layout.stats
-        measured[kernel] = {
-            "step_s": timing["median_s"],
-            "reps": timing["repeats"],
-            "timing": {k: timing[k] for k in
-                       ("median_s", "iqr_s", "mad_s", "mean_s",
-                        "min_s", "max_s")},
-            "cells": int(stats["cells"]),
-            "p2p_pairs": int(stats["p2p_pairs"]),
-            "total_build_s": stats["total_build_s"],
-            "total_traverse_s": stats["total_traverse_s"],
-        }
-    speedup = measured["scalar"]["step_s"] / measured["array"]["step_s"]
-    payload = {
-        "schema": bench.SCHEMA,
-        "machine": bench.machine_fingerprint(),
-        "n": SPEEDUP_N,
-        "quick": QUICK,
-        "speedup": speedup,
-        "floor": SPEEDUP_FLOOR,
-        "kernels": measured,
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "layout_kernel_speedup.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    report(
-        "layout_kernel_speedup",
-        [
-            f"n={SPEEDUP_N}  kernel   ms/step   cells   p2p_pairs",
-            *(
-                f"{'':8}{kernel:<8} {data['step_s'] * 1000:8.2f}  "
-                f"{data['cells']:6d}  {data['p2p_pairs']:9d}"
-                for kernel, data in measured.items()
-            ),
-            f"speedup: {speedup:.1f}x (floor {SPEEDUP_FLOOR}x)",
-        ],
-    )
-    assert speedup >= SPEEDUP_FLOOR
-
-
-#: The sharded-kernel acceptance bar: >= 2x per-step speedup over the
-#: single-process array kernel at 100k bodies on 4 workers.  Quick mode
-#: shrinks the graph (and the floor — superstep overhead is a larger
-#: fraction of a small step) for CI smoke runs; on boxes with fewer
-#: cores than workers the numbers are recorded but not gated.
-SHARDED_N = 4096 if QUICK else 100_000
-SHARDED_WORKERS = 4
-SHARDED_FLOOR = 1.3 if QUICK else 2.0
-
-
-def test_sharded_kernel_speedup(report):
-    """Sharded kernel vs the single-process array kernel, same graph.
-
-    Both layouts are built identically and timed over whole relaxation
-    steps; the sharded layout runs one throwaway step first so the
-    worker fork and the replica tree builds happen outside the timing
-    (they are one-off costs, not per-step ones).  Results land in
-    ``results/layout_sharded_speedup.json`` for the scaling story in
-    ``docs/ARCHITECTURE.md``.
-    """
-    measured = {}
-    for kernel, workers in (("array", None), ("sharded", SHARDED_WORKERS)):
-        layout = make_layout(
-            "barneshut", LayoutParams(), seed=2, kernel=kernel, workers=workers
-        )
-        clustered_graph(layout, SHARDED_N, settle=2)
-        layout.step()  # warm: fork the pool, build tree replicas
-        timing = bench.measure(
-            layout.step,
-            quick=QUICK,
-            warmup=1,
-            repeats=3 if QUICK else 5,
-            min_sample_s=0.0,
-        )
-        measured[kernel] = {
-            "step_s": timing["median_s"],
-            "reps": timing["repeats"],
-            "timing": {k: timing[k] for k in
-                       ("median_s", "iqr_s", "mad_s", "mean_s",
-                        "min_s", "max_s")},
-        }
-        layout.close()
-    speedup = measured["array"]["step_s"] / measured["sharded"]["step_s"]
-    gated = (os.cpu_count() or 1) >= SHARDED_WORKERS
-    payload = {
-        "schema": bench.SCHEMA,
-        "machine": bench.machine_fingerprint(),
-        "n": SHARDED_N,
-        "workers": SHARDED_WORKERS,
-        "quick": QUICK,
-        "speedup": speedup,
-        "floor": SHARDED_FLOOR,
-        "gated": gated,
-        "kernels": measured,
-    }
-    results_dir = Path(__file__).parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    (results_dir / "layout_sharded_speedup.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    report(
-        "layout_sharded_speedup",
-        [
-            f"n={SHARDED_N}  workers={SHARDED_WORKERS}  "
-            f"cpus={os.cpu_count()}",
-            *(
-                f"{kernel:<8} {data['step_s'] * 1000:8.2f} ms/step"
-                for kernel, data in measured.items()
-            ),
-            f"speedup: {speedup:.2f}x (floor {SHARDED_FLOOR}x, "
-            f"{'gated' if gated else 'record-only: fewer cores than workers'})",
-        ],
-    )
-    if gated:
-        assert speedup >= SHARDED_FLOOR

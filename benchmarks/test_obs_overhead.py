@@ -4,27 +4,26 @@ PR 3 threads ``span(...)`` context managers through every pipeline hot
 path (trace read, slice/spatial aggregation, layout build/traverse, SVG
 render, simulator settle).  The contract: with ``REPRO_OBS`` unset each
 span call is a single flag check returning a shared no-op object, so the
-recorded interactivity baselines of PR 1/PR 2 must not regress by more
-than 5%.
+recorded interactivity baselines must not regress by more than 5%.
 
-Measured directly rather than by re-running the (noise-prone) end-to-end
-benchmarks: time the disabled ``span()`` call itself, count how many
-span crossings the baseline workloads perform per operation, and bound
-the projected overhead against the recorded per-operation times in
-``results/layout_kernel_speedup.json`` and
-``results/aggregation_scrub_speedup.json``.
+Measured by projection rather than by re-running the (noise-prone)
+end-to-end suites: time the disabled ``span()`` call itself with
+:func:`repro.obs.bench.measure`, count how many span crossings the
+baseline workloads perform per operation, and bound the projected
+overhead against the committed per-operation medians: the ``layout``
+suite's ``step_n512`` and the ``aggregation`` suite's ``scrub_move``.
 """
 
 import json
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.obs import disable, enable, enabled
+from repro.obs.bench import measure
 from repro.obs.spans import span
 
-RESULTS = Path(__file__).parent / "results"
+ROOT = Path(__file__).parent.parent
 
 #: Acceptance bound from ISSUE: <5% regression with REPRO_OBS unset.
 MAX_OVERHEAD = 0.05
@@ -34,6 +33,23 @@ MAX_OVERHEAD = 0.05
 #: move = 1 slice + 1 spatial span per metric (2 metrics in the bench).
 SPANS_PER_LAYOUT_STEP = 2
 SPANS_PER_SCRUB_MOVE = 4
+
+
+def committed_median_s(suite: str, case: str) -> float:
+    """The committed quick-mode median of one bench case."""
+    payload = json.loads((ROOT / f"BENCH_{suite}.json").read_text())
+    return payload["cases"][case]["median_s"]
+
+
+def per_call_s(fn) -> float:
+    """Median wall cost of one call of *fn*."""
+    return measure(fn, quick=True)["median_s"]
+
+
+def disabled_span():
+    """Enter and exit one disabled span."""
+    with span("bench.noop", key=1):
+        pass
 
 
 @pytest.fixture()
@@ -46,48 +62,22 @@ def obs_disabled():
         enable()
 
 
-def _disabled_span_cost_s(calls: int = 200_000) -> float:
-    """Per-call wall cost of entering+exiting a disabled span."""
-    # Warm up the noop singleton path.
-    for _ in range(1000):
-        with span("bench.warmup"):
-            pass
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            with span("bench.noop", key=1):
-                pass
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
-
-
 def test_disabled_span_overhead_within_bounds(obs_disabled, report):
-    per_call = _disabled_span_cost_s()
-
+    per_call = per_call_s(disabled_span)
     rows = [f"{'workload':<28} {'base s/op':>12} {'proj ovh':>9}"]
     checks = []
-
-    layout_json = RESULTS / "layout_kernel_speedup.json"
-    if layout_json.exists():
-        base = json.loads(layout_json.read_text())["kernels"]["array"]["step_s"]
-        overhead = per_call * SPANS_PER_LAYOUT_STEP / base
-        rows.append(f"{'layout step (array)':<28} {base:>12.6f} "
-                    f"{overhead:>8.3%}")
-        checks.append(("layout step", overhead))
-
-    agg_json = RESULTS / "aggregation_scrub_speedup.json"
-    if agg_json.exists():
-        base = json.loads(agg_json.read_text())["fast_per_move_s"]
-        overhead = per_call * SPANS_PER_SCRUB_MOVE / base
-        rows.append(f"{'aggregation scrub move':<28} {base:>12.6f} "
-                    f"{overhead:>8.3%}")
-        checks.append(("scrub move", overhead))
-
+    for label, suite, case, spans in (
+        ("layout step (array)", "layout", "step_n512", SPANS_PER_LAYOUT_STEP),
+        ("aggregation scrub move", "aggregation", "scrub_move",
+         SPANS_PER_SCRUB_MOVE),
+    ):
+        base = committed_median_s(suite, case)
+        overhead = per_call * spans / base
+        rows.append(f"{label:<28} {base:>12.6f} {overhead:>8.3%}")
+        checks.append((label, overhead))
     rows.append(f"disabled span cost: {per_call * 1e9:.0f} ns/call")
     report("obs_overhead", rows)
 
-    assert checks, "no recorded baselines found to bound against"
     # An absolute sanity bound too: a flag check + constant return must
     # not cost microseconds.
     assert per_call < 5e-6, f"disabled span costs {per_call * 1e6:.2f} us"
@@ -110,81 +100,42 @@ def test_disabled_span_records_nothing(obs_disabled):
 # ----------------------------------------------------------------------
 # Request-accounting overhead (the observability tentpole)
 # ----------------------------------------------------------------------
-#: The request path the telemetry funnel rides on, from the committed
-#: server baseline: one ``ServerTelemetry.observe`` per request.
-SERVER_BASELINE = Path(__file__).parent.parent / "BENCH_server.json"
-
-
-def _histogram_observe_cost_s(calls: int = 100_000) -> float:
-    """Per-call wall cost of one ``Histogram.observe``."""
-    from repro.obs import Histogram
-
-    h = Histogram("bench.hist")
-    for _ in range(1000):
-        h.observe(0.002)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            h.observe(0.002)
-        best = min(best, (time.perf_counter() - t0) / calls)
-    return best
-
-
-def _telemetry_observe_cost_s(calls: int = 20_000) -> float:
-    """Per-call wall cost of the full request-accounting funnel
-    (histogram + stat-group counters + self-trace ring; no access
-    log, which is opt-in)."""
-    from repro.obs import registry
+def test_request_accounting_overhead_within_bounds(report):
+    """The always-on per-request accounting (histogram + stat-group
+    counters + self-trace ring; no access log, which is opt-in) stays
+    under the 5% bound against the committed solo-scrub server
+    baseline: one ``ServerTelemetry.observe`` per request."""
+    from repro.obs import Histogram, registry
     from repro.server.telemetry import RequestRecord, ServerTelemetry
 
+    histogram = Histogram("bench.hist")
+    hist_cost = per_call_s(lambda: histogram.observe(0.002))
     telemetry = ServerTelemetry({})
     record = RequestRecord(
         session="bench", op="scrub", began_s=0.0, wall_s=0.002,
         bytes_in=64, bytes_out=1024, tier="shared", ok=True,
     )
-    for _ in range(1000):
-        telemetry.observe(record)
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            telemetry.observe(record)
-        best = min(best, (time.perf_counter() - t0) / calls)
+    funnel_cost = per_call_s(lambda: telemetry.observe(record))
     registry.reset()
-    return best
 
-
-def test_request_accounting_overhead_within_bounds(report):
-    """The always-on per-request accounting stays under the 5% bound
-    against the committed solo-scrub server baseline."""
-    hist_cost = _histogram_observe_cost_s()
-    funnel_cost = _telemetry_observe_cost_s()
-
-    rows = [
+    payload = json.loads((ROOT / "BENCH_server.json").read_text())
+    scrub_p50 = payload["cases"]["scrub_solo"]["p50_s"]
+    overhead = funnel_cost / scrub_p50
+    report("request_accounting_overhead", [
         f"histogram observe:  {hist_cost * 1e9:8.0f} ns/call",
         f"telemetry funnel:   {funnel_cost * 1e9:8.0f} ns/request",
-    ]
+        f"{'scrub_solo request':<28} {scrub_p50:>12.6f} {overhead:>8.3%}",
+    ])
     # Absolute sanity: bucket bisect + locked increments are sub-µs,
     # the whole funnel low single-digit µs.
     assert hist_cost < 5e-6, f"histogram observe costs {hist_cost * 1e6:.2f} us"
     assert funnel_cost < 50e-6, (
         f"telemetry funnel costs {funnel_cost * 1e6:.2f} us"
     )
-
-    if SERVER_BASELINE.exists():
-        base = json.loads(SERVER_BASELINE.read_text())
-        scrub_p50 = base["cases"]["scrub_solo"]["p50_s"]
-        overhead = funnel_cost / scrub_p50
-        rows.append(
-            f"{'scrub_solo request':<28} {scrub_p50:>12.6f} "
-            f"{overhead:>8.3%}"
-        )
-        assert overhead < MAX_OVERHEAD, (
-            f"request accounting is {overhead:.2%} of the scrub_solo "
-            f"p50 baseline (bound {MAX_OVERHEAD:.0%})"
-        )
-    report("request_accounting_overhead", rows)
+    assert overhead < MAX_OVERHEAD, (
+        f"request accounting is {overhead:.2%} of the scrub_solo "
+        f"p50 baseline (bound {MAX_OVERHEAD:.0%})"
+    )
 
 
 def test_disabled_span_parity_with_histogram_timer(obs_disabled):
@@ -194,10 +145,10 @@ def test_disabled_span_parity_with_histogram_timer(obs_disabled):
 
     timer = registry.timer("bench.hist_parity", histogram=True)
     timer.reset()
-    plain = _disabled_span_cost_s(calls=50_000)
+    plain = per_call_s(disabled_span)
     with span("bench.hist_parity"):
         pass
-    backed = _disabled_span_cost_s(calls=50_000)
+    backed = per_call_s(disabled_span)
     assert timer.count == 0
     assert timer.histogram is not None and timer.histogram.count == 0
     # Same no-op singleton both ways: generous 3x guard against timing

@@ -68,7 +68,8 @@ def main() -> None:
     elapsed = time.time() - started
     print(f"\nAll figures reproduced in {elapsed:.0f}s. "
           f"SVGs in {HERE / 'output'}; numeric series in "
-          f"benchmarks/results/ after `pytest benchmarks/`.")
+          f"benchmarks/results/ after `pytest benchmarks/`; "
+          f"speed claims gated by `python -m repro bench`.")
 
 
 if __name__ == "__main__":

@@ -18,10 +18,10 @@ Usage (``python -m repro <command> ...``):
   JSON (Perfetto-loadable), streaming span JSONL, and a flat metrics
   dump;
 * ``bench`` — run the calibrated performance suites over the hot paths
-  and write schema-versioned ``BENCH_<suite>.json`` files;
-  ``--compare BASELINE.json`` applies the noise-aware regression gate
-  and exits 3 when a median regresses beyond
-  ``max(rel_tol * base, k * IQR)``;
+  and write schema-versioned ``BENCH_<suite>.json`` files; exits 3
+  when a suite's speedup floor or latency ceiling is violated, or when
+  ``--compare BASELINE.json``'s noise-aware regression gate finds a
+  median regressed beyond ``max(rel_tol * base, k * IQR)``;
 * ``causal <app>`` — run a built-in simulated application
   (``master-worker`` or ``stencil``) with the causal tracer attached
   and print the span-DAG summary: span counts, DAG depth, the
@@ -583,13 +583,14 @@ def _cmd_bench(args) -> int:
             return 2
     quick = bench.quick_mode(args.quick)
     baselines = _bench_baselines(args.compare) if args.compare else {}
-    regressed = False
+    regressed = violated = False
     for name in suites:
         result = bench.run_suite(name, quick=quick)
         path = bench.write_result(result, args.out_dir)
         print(f"suite [{name}] ({'quick' if quick else 'full'} mode)")
         print(bench.format_result(result))
         print(f"wrote {path}")
+        violated |= bench.gates_failed(result)
         if args.compare:
             baseline = baselines.get(name)
             if baseline is None:
@@ -606,10 +607,11 @@ def _cmd_bench(args) -> int:
             print(bench.format_comparison(name, comparisons))
             if bench.has_regression(comparisons):
                 regressed = True
+    if violated:
+        print("performance gate violated", file=sys.stderr)
     if regressed:
         print("performance regression detected", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if regressed or violated else 0
 
 
 def _run_traced_app(args):

@@ -1,9 +1,9 @@
 """Calibrated benchmark harness + the suites behind ``repro bench``.
 
-The ROADMAP's "as fast as the hardware allows" is a claim about a
-trajectory, and a trajectory needs comparable points: the ad-hoc
-``benchmarks/results/*.txt`` files each had their own shape, so nothing
-could diff run *N* against run *N-1*.  This module fixes the substrate:
+This module is the repository's one timing system: every speedup floor
+and latency ceiling the paper's scalability claims rest on is a gate
+declared next to the suite that measures it, so one run prices the
+workload and checks the claim on the same numbers.
 
 * :func:`measure` — one calibrated measurement: warmup calls, an inner
   loop auto-sized so each sample is long enough to trust the clock, an
@@ -13,27 +13,35 @@ could diff run *N* against run *N-1*.  This module fixes the substrate:
 * :func:`machine_fingerprint` — the context that makes a number
   meaningful later (python, platform, CPU count, numpy version);
 * named **suites** over the real hot paths — ``layout`` (Barnes-Hut
-  build+traverse at several *n*), ``aggregation`` (slice-scrub, the
-  paper's interactive loop), ``signals`` (batch signal ops),
-  ``render`` (SVG generation), ``sim`` (discrete-event engine),
-  ``store`` (columnar trace-store convert / cold-open / mmap scrub),
-  ``server`` (multi-session scrub-storm round trips, solo vs 8-way
-  concurrent, with p50/p95/p99 percentiles), ``causal`` (latency
-  attribution, propagation-path extraction and communication-band
-  aggregation on a causal DAG) — each serialized as one
-  schema-versioned ``BENCH_<suite>.json``;
+  steps at several *n*, array vs scalar vs sharded kernels),
+  ``aggregation`` (slice-scrub, the paper's interactive loop, against
+  scalar recomputation), ``signals`` (batch signal ops), ``render``
+  (SVG generation), ``sim`` (discrete-event engine), ``store``
+  (columnar trace-store convert / cold-open / mmap scrub), ``server``
+  (multi-session scrub-storm round trips, solo vs 8-way concurrent,
+  with p50/p95/p99 percentiles), ``causal`` (latency attribution,
+  propagation-path extraction and communication-band aggregation on a
+  causal DAG) — each serialized as one schema-versioned
+  ``BENCH_<suite>.json``;
+* :class:`Gate` — a suite's declared floor on the ratio of two of its
+  cases' stats (``cold_view`` / ``scrub_move`` median >= 5) or ceiling
+  on one case's stat (``bands`` median <= 1 s); :func:`run_suite`
+  records every verdict in the payload and ``repro bench`` exits 3 on
+  a violation;
 * :func:`compare_results` — the noise-aware regression gate: a case
   fails only when its median exceeds the baseline median by more than
   ``max(rel_tol * baseline, iqr_k * IQR)``, so real slowdowns trip CI
   while timer jitter does not.
 
 Quick mode (``REPRO_BENCH_QUICK=1`` or ``repro bench --quick``) shrinks
-sizes and repeats for smoke runs; the mode is recorded in the payload
-and :func:`compare_results` refuses to compare across modes.
+sizes and repeats for smoke runs; the mode is recorded in the payload,
+gates carry one bound per mode, and :func:`compare_results` refuses to
+compare across modes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -48,18 +56,26 @@ from typing import Callable, Mapping
 __all__ = [
     "SCHEMA",
     "BenchCase",
+    "Gate",
     "available_suites",
+    "causal_run",
+    "check_gates",
+    "clustered_layout",
     "compare_results",
     "format_comparison",
     "format_result",
+    "gates_failed",
     "has_regression",
     "load_result",
     "machine_fingerprint",
+    "master_worker_sim",
     "measure",
     "quick_mode",
     "result_path",
     "robust_stats",
     "run_suite",
+    "server_workload",
+    "star_platform",
     "write_result",
 ]
 
@@ -231,17 +247,71 @@ class BenchCase:
         self.runner = runner
 
 
+class Gate:
+    """A floor or ceiling that :func:`run_suite` checks on every run.
+
+    The gated value is ``stat`` of case ``case`` — divided by the same
+    stat of case ``over`` when one is named, which makes the gate a
+    bound on the ratio of the two (a speedup floor such as ``cold_view``
+    / ``scrub_move`` median >= 5, or a contention ceiling such as
+    ``scrub_c8`` / ``scrub_solo`` p95 <= 3).  ``floor`` or ``ceiling``
+    (exactly one) is a ``(quick, full)`` pair of bounds; ``None`` leaves
+    that mode ungated.  A gate that needs ``min_cpus`` cores is recorded
+    as ``"skipped"`` on a machine with fewer.
+    """
+
+    __slots__ = ("case", "over", "stat", "floor", "ceiling", "min_cpus")
+
+    def __init__(
+        self,
+        case: str,
+        over: str | None = None,
+        stat: str = "median_s",
+        floor: tuple[float | None, float | None] | None = None,
+        ceiling: tuple[float | None, float | None] | None = None,
+        min_cpus: int = 0,
+    ) -> None:
+        if (floor is None) == (ceiling is None):
+            raise ValueError(
+                f"gate on {case!r} needs exactly one of floor or ceiling"
+            )
+        self.case = case
+        self.over = over
+        self.stat = stat
+        self.floor = floor
+        self.ceiling = ceiling
+        self.min_cpus = min_cpus
+
+    @property
+    def label(self) -> str:
+        """Human name of the gated quantity, e.g. ``a/b median_s``."""
+        ratio = f"{self.case}/{self.over}" if self.over else self.case
+        return f"{ratio} {self.stat}"
+
+    @property
+    def cases(self) -> tuple[str, ...]:
+        """Every case name the gate reads."""
+        return (self.case,) if self.over is None else (self.case, self.over)
+
+    def bound(self, quick: bool) -> float | None:
+        """The bound in effect for the given mode (``None``: ungated)."""
+        pair = self.floor if self.floor is not None else self.ceiling
+        return pair[0] if quick else pair[1]
+
+
 # ----------------------------------------------------------------------
 # Suites
 # ----------------------------------------------------------------------
 _SUITES: dict[str, Callable[[bool], list[BenchCase]]] = {}
+_GATES: dict[str, tuple[Gate, ...]] = {}
 
 
-def _suite(name: str):
-    """Register a suite builder under *name* (decorator)."""
+def _suite(name: str, *gates: Gate):
+    """Register a suite builder and its gates under *name* (decorator)."""
 
     def register(builder):
         _SUITES[name] = builder
+        _GATES[name] = gates
         return builder
 
     return register
@@ -252,7 +322,7 @@ def available_suites() -> list[str]:
     return list(_SUITES)
 
 
-def _clustered_layout(
+def clustered_layout(
     n: int,
     seed: int = 2,
     kernel: str = "array",
@@ -292,16 +362,33 @@ def _clustered_layout(
     return layout
 
 
-@_suite("layout")
+#: Worker processes of the sharded-kernel cases; its speedup floor only
+#: means something with at least this many cores.
+_SHARD_WORKERS = 4
+
+
+@_suite(
+    "layout",
+    # Section 3.3: the vectorized array kernel vs the scalar quadtree
+    # walk, per relaxation step on the same graph.
+    Gate("kernel_scalar", over="kernel_array", floor=(2.5, 5.0)),
+    # The fork-sharded kernel vs the single-process array kernel.
+    Gate(
+        "step_array_100k",
+        over="step_sharded_100k",
+        floor=(1.3, 2.0),
+        min_cpus=_SHARD_WORKERS,
+    ),
+)
 def _layout_suite(quick: bool) -> list[BenchCase]:
     """Barnes-Hut relaxation steps (build + traverse) at several *n*."""
     sizes = (128, 512) if quick else (256, 1024, 4096)
 
-    def stepper(n: int):
+    def stepper(n: int, **kwargs):
         def make():
             """Build the layout once; time whole relaxation steps."""
-            layout = _clustered_layout(n)
-            layout.step()  # warm tree/caches outside the timing
+            layout = clustered_layout(n, **kwargs)
+            layout.step()  # warm tree/caches (and fork any pool) untimed
             return layout.step
 
         return make
@@ -311,37 +398,36 @@ def _layout_suite(quick: bool) -> list[BenchCase]:
         for n in sizes
     ]
 
-    # The sharded kernel's flagship case: 100k bodies split across 4
-    # worker processes (quick mode shrinks to 1024 bodies / 2 workers
-    # so CI smoke runs stay seconds, as the other suites do).
-    shard_n = 1024 if quick else 100_000
-    shard_workers = 2 if quick else 4
-
-    def sharded_stepper():
-        layout = _clustered_layout(
-            shard_n, kernel="sharded", workers=shard_workers, settle_steps=2
+    kernel_n = 500 if quick else 2000
+    for kernel in ("array", "scalar"):
+        cases.append(
+            BenchCase(
+                f"kernel_{kernel}",
+                stepper(kernel_n, kernel=kernel),
+                {"n": kernel_n, "kernel": kernel},
+            )
         )
-        layout.step()  # fork the pool + build replicas outside timing
-        return layout.step
 
-    cases.append(
-        BenchCase(
-            "step_sharded_100k",
-            sharded_stepper,
-            {"n": shard_n, "kernel": "sharded", "workers": shard_workers},
+    # The sharded kernel's flagship pair: 100k bodies on 4 workers
+    # against the array kernel on the same graph (quick mode shrinks
+    # the graph, not the worker count).
+    shard_n = 4096 if quick else 100_000
+    for kernel, workers in (("array", None), ("sharded", _SHARD_WORKERS)):
+        cases.append(
+            BenchCase(
+                f"step_{kernel}_100k",
+                stepper(shard_n, kernel=kernel, workers=workers,
+                        settle_steps=2),
+                {"n": shard_n, "kernel": kernel, "workers": workers},
+            )
         )
-    )
     return cases
 
 
-def _aggregation_trace(quick: bool):
-    """The scrub-loop workload: Grid'5000 when full, synthetic when quick."""
-    if quick:
-        from repro.trace.synthetic import random_hierarchical_trace
-
-        return random_hierarchical_trace(
-            n_sites=4, clusters_per_site=3, hosts_per_cluster=6, seed=5
-        )
+@functools.lru_cache(maxsize=1)
+def _grid5000_trace():
+    """The Section 5.2 master-worker run on the full Grid'5000 model
+    (simulated once per process: several full-mode suites share it)."""
     from repro.apps import paper_workload, run_master_worker
     from repro.platform import grid5000_platform
     from repro.simulation import UsageMonitor
@@ -353,59 +439,73 @@ def _aggregation_trace(quick: bool):
     return monitor.build_trace()
 
 
-@_suite("aggregation")
+@_suite(
+    "aggregation",
+    # Section 3.2.2: the incremental engine scrubs the slice faster
+    # than the scalar oracle recomputes the same view.
+    Gate("cold_view", over="scrub_move", floor=(2.5, 5.0)),
+)
 def _aggregation_suite(quick: bool) -> list[BenchCase]:
-    """The paper's interactive loop: time-slice scrubbing and cold views."""
+    """The paper's interactive loop: time-slice scrubbing and cold views.
+
+    Both cases walk the same slide sequence at the site level of
+    Fig. 8 — Grid'5000 when full, a small synthetic trace when quick.
+    """
     from repro.core import AggregationEngine, TimeSlice
     from repro.core.aggregation import aggregate_view
     from repro.core.hierarchy import GroupingState, Hierarchy
     from repro.trace import CAPACITY, USAGE
 
-    trace = _aggregation_trace(quick)
+    if quick:
+        from repro.trace.synthetic import random_hierarchical_trace
+
+        trace = random_hierarchical_trace(
+            n_sites=4, clusters_per_site=3, hosts_per_cluster=6, seed=5
+        )
+    else:
+        trace = _grid5000_trace()
     hierarchy = Hierarchy.from_trace(trace)
     start, end = trace.span()
     width = (end - start) / 10.0
-    moves = 16 if quick else 64
+    moves = 40 if quick else 200
     step = (end - start - width) / (moves - 1)
     slices = [
         TimeSlice(start + i * step, start + i * step + width)
         for i in range(moves)
     ]
     metrics = [CAPACITY, USAGE]
+    # The analyst drags the slice across the trace and back, so every
+    # move is one slide step; wrapping to the start instead would add a
+    # jump across the whole trace that no drag makes.
+    sweep = slices + slices[-2:0:-1]
 
-    def make_scrub():
-        """One engine kept across calls; each call is one slice move."""
+    def slide(view_of):
+        """Each call is one move to the next slice of the sweep."""
         grouping = GroupingState(hierarchy)
         grouping.collapse_depth(2)  # the site-level view of Fig. 8
-        engine = AggregationEngine(trace)
-        engine.view(grouping, slices[0], metrics=metrics)  # warm caches
+        view_of(grouping, sweep[0])  # warm caches
         state = {"i": 0}
 
         def one_move():
-            """Advance to the next slice in the scripted slide loop."""
-            state["i"] = (state["i"] + 1) % len(slices)
-            return engine.view(grouping, slices[state["i"]], metrics=metrics)
+            """Advance to the next slice of the sweep."""
+            state["i"] = (state["i"] + 1) % len(sweep)
+            return view_of(grouping, sweep[state["i"]])
 
         return one_move
 
+    def make_scrub():
+        """One incremental engine kept across moves."""
+        engine = AggregationEngine(trace)
+        return slide(lambda g, s: engine.view(g, s, metrics=metrics))
+
     def make_cold():
-        """Scalar full recomputation of the site-level view."""
-        grouping = GroupingState(hierarchy)
-        grouping.collapse_depth(2)
+        """Scalar from-scratch recomputation on every move."""
+        return slide(lambda g, s: aggregate_view(trace, g, s, metrics=metrics))
 
-        def one_view():
-            """One from-scratch aggregate_view over the whole span."""
-            return aggregate_view(trace, grouping, slices[0], metrics=metrics)
-
-        return one_view
-
+    shape = {"entities": len(trace), "moves": moves, "depth": 2}
     return [
-        BenchCase(
-            "scrub_move",
-            make_scrub,
-            {"entities": len(trace), "moves": moves, "depth": 2},
-        ),
-        BenchCase("cold_view", make_cold, {"entities": len(trace), "depth": 2}),
+        BenchCase("scrub_move", make_scrub, shape),
+        BenchCase("cold_view", make_cold, shape),
     ]
 
 
@@ -449,7 +549,18 @@ def _signals_suite(quick: bool) -> list[BenchCase]:
     ]
 
 
-@_suite("render")
+#: The Grid'5000 views the full-mode ``render`` cases draw, by the
+#: ``collapse_depth`` that produces them (0: every host and link).
+_GRID_LEVELS = (("grid_hosts", 0), ("grid_clusters", 3), ("grid_sites", 2))
+
+
+@_suite(
+    "render",
+    # Sections 1/6: even the ~4400-node host-level Grid'5000 view
+    # renders interactively (full mode only: it needs the Grid'5000
+    # simulation).
+    *(Gate(name, ceiling=(None, 2.0)) for name, _ in _GRID_LEVELS),
+)
 def _render_suite(quick: bool) -> list[BenchCase]:
     """SVG generation time against view size."""
     from repro.core import AnalysisSession, SvgRenderer
@@ -467,62 +578,82 @@ def _render_suite(quick: bool) -> list[BenchCase]:
         renderer = SvgRenderer(heat_fill=True)
         return lambda: renderer.render(view)
 
-    return [BenchCase("svg_render", make, {"n_sites": n_sites})]
+    def grid_renderer(depth: int):
+        def make_grid():
+            """One Grid'5000 level as the analyst first sees it."""
+            session = AnalysisSession(_grid5000_trace(), seed=2)
+            if depth:
+                session.aggregate_depth(depth)
+            view = session.view(settle_steps=2)
+            renderer = SvgRenderer(heat_fill=True)
+            return lambda: renderer.render(view)
+
+        return make_grid
+
+    cases = [BenchCase("svg_render", make, {"n_sites": n_sites})]
+    if not quick:
+        cases.extend(
+            BenchCase(name, grid_renderer(depth),
+                      {"trace": "grid5000", "depth": depth})
+            for name, depth in _GRID_LEVELS
+        )
+    return cases
+
+
+def star_platform(n_workers: int):
+    """The ``sim`` suite's platform: a master and *n_workers* hosts
+    behind one switch."""
+    from repro.platform import Host, Link, Platform, Router
+
+    p = Platform("bench")
+    p.add_router(Router("switch"))
+    p.add_host(Host("m", 1e9, path=("bench", "m")))
+    p.add_link(Link("m-l", 1e9, path=("bench", "m-l")), "m", "switch")
+    for i in range(n_workers):
+        p.add_host(Host(f"w{i}", 1e9, path=("bench", f"w{i}")))
+        p.add_link(
+            Link(f"w{i}-l", 1e9, path=("bench", f"w{i}-l")),
+            f"w{i}",
+            "switch",
+        )
+    return p
+
+
+def master_worker_sim(n_workers: int, tasks: int):
+    """The ``sim`` suite's workload, spawned but not yet run: the master
+    scatters *tasks* rounds of work to every worker of a
+    :func:`star_platform`."""
+    from repro.simulation import Simulator
+
+    sim = Simulator(star_platform(n_workers))
+
+    def worker(ctx):
+        """Receive *tasks* messages, computing for each."""
+        for _ in range(tasks):
+            message = yield ctx.recv(f"in-{ctx.host.name}")
+            yield ctx.execute(message.payload["flops"])
+
+    def master(ctx):
+        """Scatter *tasks* rounds of work to every worker."""
+        for _ in range(tasks):
+            for i in range(n_workers):
+                yield ctx.send(f"w{i}", 1e5, f"in-w{i}", payload={"flops": 1e6})
+
+    for i in range(n_workers):
+        sim.spawn(worker, f"w{i}", f"worker-{i}")
+    sim.spawn(master, "m", "master")
+    return sim
 
 
 @_suite("sim")
 def _sim_suite(quick: bool) -> list[BenchCase]:
     """One full small master/worker discrete-event simulation per call."""
-    from repro.platform import Host, Link, Platform, Router
-
     n_workers = 4 if quick else 16
     tasks = 2 if quick else 4
 
     def make():
-        """Return a closure running a fresh simulation end to end."""
-
-        def build_platform():
-            """A star of *n_workers* hosts behind one switch."""
-            p = Platform("bench")
-            p.add_router(Router("switch"))
-            p.add_host(Host("m", 1e9, path=("bench", "m")))
-            p.add_link(Link("m-l", 1e9, path=("bench", "m-l")), "m", "switch")
-            for i in range(n_workers):
-                p.add_host(Host(f"w{i}", 1e9, path=("bench", f"w{i}")))
-                p.add_link(
-                    Link(f"w{i}-l", 1e9, path=("bench", f"w{i}-l")),
-                    f"w{i}",
-                    "switch",
-                )
-            return p
-
-        def run_once():
-            """Construct and run the whole simulation (the timed unit)."""
-            from repro.simulation import Simulator
-
-            p = build_platform()
-            sim = Simulator(p)
-
-            def worker(ctx):
-                """Receive *tasks* messages, computing for each."""
-                for _ in range(tasks):
-                    message = yield ctx.recv(f"in-{ctx.host.name}")
-                    yield ctx.execute(message.payload["flops"])
-
-            def master(ctx):
-                """Scatter *tasks* rounds of work to every worker."""
-                for _ in range(tasks):
-                    for i in range(n_workers):
-                        yield ctx.send(
-                            f"w{i}", 1e5, f"in-w{i}", payload={"flops": 1e6}
-                        )
-
-            for i in range(n_workers):
-                sim.spawn(worker, f"w{i}", f"worker-{i}")
-            sim.spawn(master, "m", "master")
-            return sim.run()
-
-        return run_once
+        """Each call builds and runs the whole simulation."""
+        return lambda: master_worker_sim(n_workers, tasks).run()
 
     return [
         BenchCase(
@@ -533,7 +664,11 @@ def _sim_suite(quick: bool) -> list[BenchCase]:
     ]
 
 
-@_suite("store")
+@_suite(
+    "store",
+    # Reopening a converted trace beats re-parsing its text form.
+    Gate("text_reparse", over="cold_open", floor=(5.0, 5.0)),
+)
 def _store_suite(quick: bool) -> list[BenchCase]:
     """The columnar trace store: convert, cold-open, scrub via mmap.
 
@@ -553,11 +688,11 @@ def _store_suite(quick: bool) -> list[BenchCase]:
 
     if quick:
         trace = random_hierarchical_trace(
-            n_sites=2, clusters_per_site=2, hosts_per_cluster=4, seed=11
+            n_sites=3, clusters_per_site=3, hosts_per_cluster=6, seed=11
         )
     else:
         trace = random_hierarchical_trace(
-            n_sites=4, clusters_per_site=3, hosts_per_cluster=8, seed=11
+            n_sites=6, clusters_per_site=4, hosts_per_cluster=10, seed=11
         )
     scratch = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
     root = Path(scratch.name)
@@ -631,7 +766,22 @@ def _store_suite(quick: bool) -> list[BenchCase]:
     ]
 
 
-@_suite("server")
+def server_workload(quick: bool):
+    """The ``server`` suite's scrub storm: ``(trace, moves)``."""
+    from repro.trace.synthetic import random_hierarchical_trace
+
+    if quick:
+        shape = dict(n_sites=6, clusters_per_site=4, hosts_per_cluster=12)
+    else:
+        shape = dict(n_sites=12, clusters_per_site=6, hosts_per_cluster=24)
+    return random_hierarchical_trace(seed=13, **shape), 12 if quick else 24
+
+
+@_suite(
+    "server",
+    # Concurrency is nearly free when sessions share their work.
+    Gate("scrub_c8", over="scrub_solo", stat="p95_s", ceiling=(3.0, 3.0)),
+)
 def _server_suite(quick: bool) -> list[BenchCase]:
     """Multi-session server round trips: solo vs 8-way concurrency.
 
@@ -639,22 +789,13 @@ def _server_suite(quick: bool) -> list[BenchCase]:
     full stack — WebSocket framing, canonical-JSON payloads, shared
     aggregation cache — and every *sample* is one request round trip,
     so the stats come straight from :func:`robust_stats` over the
-    pooled latencies plus the p50/p95/p99 percentiles the acceptance
-    gate reads.  ``scrub_c8`` runs eight concurrent closed-loop
-    sessions; the ROADMAP target is its p95 staying within 3x the
-    ``scrub_solo`` p95 (asserted by ``benchmarks/test_server_load.py``).
+    pooled latencies plus the p50/p95/p99 percentiles the gate reads:
+    ``scrub_c8`` runs eight concurrent closed-loop sessions, and its
+    p95 must stay within 3x the ``scrub_solo`` p95.
     """
     from repro.server.load import percentile, run_load
-    from repro.trace.synthetic import random_hierarchical_trace
 
-    if quick:
-        trace = random_hierarchical_trace(
-            n_sites=12, clusters_per_site=6, hosts_per_cluster=24, seed=13
-        )
-        moves = 16
-    else:
-        trace = _aggregation_trace(False)
-        moves = 48
+    trace, moves = server_workload(quick)
     # settle_steps=0: a scrub does not change the graph structure, so
     # the scrub-latency benchmark pins the layout at its radial seeds —
     # the measured work is aggregation + payload + transport, which is
@@ -703,17 +844,14 @@ def _server_suite(quick: bool) -> list[BenchCase]:
     ]
 
 
-def _causal_run(quick: bool):
-    """A master-worker run under the causal tracer: the bench workload
-    for the latency-analytics hot paths (full mode produces a >10k
-    causal-edge DAG so the band aggregation is measured at the scale
-    where per-message arrows stop being viable)."""
+def causal_run(workers: int, tasks: int):
+    """A master-worker run of *tasks* tasks on *workers* hosts under the
+    causal tracer: the workload of the latency-analytics hot paths."""
     from repro.apps.masterworker import AppSpec, run_master_worker
     from repro.platform.cluster import add_cluster
     from repro.platform.topology import Platform
     from repro.simulation.tracing import CausalTracer
 
-    workers, tasks = (4, 60) if quick else (16, 3400)
     tracer = CausalTracer()
     platform = Platform()
     add_cluster(platform, "c", workers + 1)
@@ -724,7 +862,12 @@ def _causal_run(quick: bool):
     return tracer.build()
 
 
-@_suite("causal")
+@_suite(
+    "causal",
+    # Interactive latency analytics on a large causal DAG.
+    Gate("attribution", ceiling=(1.0, 1.0)),
+    Gate("bands", ceiling=(1.0, 1.0)),
+)
 def _causal_suite(quick: bool) -> list[BenchCase]:
     """Latency analytics on the causal DAG (``repro latency``).
 
@@ -734,44 +877,33 @@ def _causal_suite(quick: bool) -> list[BenchCase]:
     extracting the top-k propagation paths (the O(E log E) dynamic
     program), and aggregating the timeline's per-message arrows into
     communication bands (the rendering path that keeps the SVG element
-    count bounded at any message count).
+    count bounded at any message count).  Full mode produces a >10k
+    causal-edge DAG, the scale where per-message arrows stop being
+    viable.
     """
     from repro.core.timeline import Timeline
     from repro.obs.latency import LatencyAttribution, propagation_paths
 
-    causal = _causal_run(quick)
-    shape = {
-        "workers": 4 if quick else 16,
-        "tasks": 60 if quick else 3400,
-        "edges": len(causal.edges),
-    }
+    workers, tasks = (4, 500) if quick else (16, 3400)
+    causal = causal_run(workers, tasks)
+    shape = {"workers": workers, "tasks": tasks, "edges": len(causal.edges)}
     timeline = Timeline.from_trace(causal.to_trace())
 
-    def make_attribution():
-        def build():
-            return LatencyAttribution(causal)
-
-        return build
-
-    def make_paths():
-        def extract():
-            return propagation_paths(causal, k=5)
-
-        return extract
-
-    def make_bands():
-        def aggregate():
-            return timeline.bands(slices=64)
-
-        return aggregate
-
     return [
-        BenchCase("attribution", make=make_attribution, params=shape),
-        BenchCase("paths", make=make_paths, params={**shape, "k": 5}),
+        BenchCase(
+            "attribution",
+            lambda: (lambda: LatencyAttribution(causal)),
+            shape,
+        ),
+        BenchCase(
+            "paths",
+            lambda: (lambda: propagation_paths(causal, k=5)),
+            {**shape, "k": 5},
+        ),
         BenchCase(
             "bands",
-            make=make_bands,
-            params={**shape, "slices": 64, "arrows": len(timeline.arrows)},
+            lambda: (lambda: timeline.bands(slices=64)),
+            {**shape, "slices": 64, "arrows": len(timeline.arrows)},
         ),
     ]
 
@@ -783,8 +915,9 @@ def run_suite(name: str, quick: bool | None = None, **measure_kwargs) -> dict:
     """Run every case of suite *name*; return the result payload.
 
     The payload is the exact dict :func:`write_result` serializes:
-    ``schema``/``suite``/``quick``/``created_unix``/``machine`` plus a
-    ``cases`` mapping of case name to stats + params.
+    ``schema``/``suite``/``quick``/``created_unix``/``machine``, a
+    ``cases`` mapping of case name to stats + params, and the
+    :func:`check_gates` verdicts of the suite's gates under ``gates``.
     """
     if name not in _SUITES:
         raise KeyError(
@@ -800,7 +933,7 @@ def run_suite(name: str, quick: bool | None = None, **measure_kwargs) -> dict:
             stats = measure(fn, quick=quick, **measure_kwargs)
         stats["params"] = case.params
         cases[case.name] = stats
-    return {
+    result = {
         "schema": SCHEMA,
         "suite": name,
         "quick": quick,
@@ -809,6 +942,50 @@ def run_suite(name: str, quick: bool | None = None, **measure_kwargs) -> dict:
         "machine": machine_fingerprint(),
         "cases": cases,
     }
+    result["gates"] = check_gates(result, _GATES.get(name, ()))
+    return result
+
+
+def check_gates(result: dict, gates) -> list[dict]:
+    """The verdict of every *gate* in effect for *result*'s mode.
+
+    Each verdict names the gate, its kind, bound and measured value,
+    and a status: ``"ok"``, ``"failed"``, ``"skipped"`` (the machine
+    has fewer than ``min_cpus`` cores; the value is still recorded) or
+    ``"missing"`` (a gated case is absent from the run — which fails,
+    so renaming or dropping a case cannot silently drop its gate).
+    """
+    quick = bool(result["quick"])
+    cases = result["cases"]
+    cpus = result["machine"]["cpu_count"]
+    verdicts = []
+    for gate in gates:
+        bound = gate.bound(quick)
+        if bound is None:
+            continue
+        kind = "floor" if gate.floor is not None else "ceiling"
+        verdict = {"gate": gate.label, "kind": kind, "bound": bound,
+                   "value": None}
+        if any(name not in cases for name in gate.cases):
+            verdict.update(status="missing", failed=True)
+            verdicts.append(verdict)
+            continue
+        value = cases[gate.case][gate.stat]
+        if gate.over is not None:
+            value /= max(cases[gate.over][gate.stat], 1e-12)
+        verdict["value"] = value
+        if cpus < gate.min_cpus:
+            verdict.update(status="skipped", failed=False)
+        else:
+            held = value >= bound if kind == "floor" else value <= bound
+            verdict.update(status="ok" if held else "failed", failed=not held)
+        verdicts.append(verdict)
+    return verdicts
+
+
+def gates_failed(result: dict) -> bool:
+    """Whether any gate verdict recorded in *result* failed."""
+    return any(v["failed"] for v in result.get("gates", ()))
 
 
 def result_path(out_dir: str | Path, suite: str) -> Path:
@@ -846,6 +1023,13 @@ def format_result(result: dict) -> str:
             f"{name:<20} {stats['median_s'] * 1e3:>10.3f} "
             f"{stats['iqr_s'] * 1e3:>8.3f} {stats['mad_s'] * 1e3:>8.3f} "
             f"{stats['repeats']:>5} {stats['inner_loops']:>6}"
+        )
+    for v in result.get("gates", ()):
+        op = ">=" if v["kind"] == "floor" else "<="
+        value = "-" if v["value"] is None else f"{v['value']:.3g}"
+        lines.append(
+            f"gate {v['gate']:<34} {value:>8} {op} {v['bound']:<5g} "
+            f"{v['status']}"
         )
     return "\n".join(lines)
 

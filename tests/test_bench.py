@@ -5,7 +5,8 @@ else: the calibration protocol (warmup + inner loops + repeats), the
 schema-versioned payload shape and its determinism across runs, and —
 most importantly — the comparison gate's verdicts on constructed
 payloads, where an injected 2x slowdown must flag and a clean self
-comparison must not.
+comparison must not, and the speed gates' verdicts on runner cases
+that report fixed stats instead of timing anything.
 """
 
 import copy
@@ -168,6 +169,143 @@ class TestRunSuite:
         path.write_text('{"kernels": {}}')
         with pytest.raises(ValueError, match="not a repro-bench result"):
             bench.load_result(path)
+
+
+# ----------------------------------------------------------------------
+# Speed gates (runner cases with fixed stats: fully deterministic)
+# ----------------------------------------------------------------------
+def fixed_case(name: str, median_s: float, p95_s: float | None = None):
+    """A runner case reporting *median_s* (and *p95_s*) without timing."""
+
+    def run(quick):
+        return {
+            "median_s": median_s, "iqr_s": 0.0, "mad_s": 0.0,
+            "mean_s": median_s, "min_s": median_s, "max_s": median_s,
+            "p95_s": median_s if p95_s is None else p95_s,
+            "repeats": 1, "inner_loops": 1, "warmup": 0,
+            "samples_s": [median_s],
+        }
+
+    return bench.BenchCase(name, runner=run)
+
+
+@pytest.fixture()
+def gated_suite(monkeypatch):
+    """Register suite ``gated`` with the given cases and gates."""
+
+    def register(cases, *gates):
+        monkeypatch.setitem(bench._SUITES, "gated", lambda quick: cases)
+        monkeypatch.setitem(bench._GATES, "gated", gates)
+
+    return register
+
+
+class TestGates:
+    def test_gate_needs_exactly_one_bound(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            bench.Gate("a")
+        with pytest.raises(ValueError, match="exactly one"):
+            bench.Gate("a", floor=(1.0, 1.0), ceiling=(2.0, 2.0))
+
+    def test_floor_holds_then_trips_when_fast_case_slows_10x(
+        self, gated_suite, tmp_path, capsys
+    ):
+        floor = bench.Gate("slow", over="fast", floor=(5.0, 5.0))
+        gated_suite([fixed_case("slow", 0.010), fixed_case("fast", 0.001)],
+                    floor)
+        (verdict,) = bench.run_suite("gated", quick=True)["gates"]
+        assert verdict["status"] == "ok"
+        assert verdict["value"] == pytest.approx(10.0)
+        assert main(["bench", "--quick", "--suites", "gated",
+                     "--out-dir", str(tmp_path)]) == 0
+
+        gated_suite([fixed_case("slow", 0.010), fixed_case("fast", 0.010)],
+                    floor)
+        code = main(["bench", "--quick", "--suites", "gated",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "failed" in captured.out
+        assert "performance gate violated" in captured.err
+        payload = json.loads((tmp_path / "BENCH_gated.json").read_text())
+        (verdict,) = payload["gates"]
+        assert verdict["status"] == "failed" and verdict["failed"]
+        assert verdict["value"] == pytest.approx(1.0)
+
+    def test_ceiling_trips(self, gated_suite):
+        gated_suite([fixed_case("bands", 2.0)],
+                    bench.Gate("bands", ceiling=(1.0, 1.0)))
+        result = bench.run_suite("gated", quick=True)
+        (verdict,) = result["gates"]
+        assert (verdict["kind"], verdict["status"]) == ("ceiling", "failed")
+        assert bench.gates_failed(result)
+
+    def test_ratio_ceiling_reads_the_named_stat(self, gated_suite):
+        gated_suite(
+            [fixed_case("c8", 0.001, p95_s=0.009),
+             fixed_case("solo", 0.001, p95_s=0.002)],
+            bench.Gate("c8", over="solo", stat="p95_s", ceiling=(3.0, 3.0)),
+        )
+        (verdict,) = bench.run_suite("gated", quick=True)["gates"]
+        assert verdict["value"] == pytest.approx(4.5)
+        assert verdict["status"] == "failed"
+
+    def test_mode_without_a_bound_is_not_gated(self, gated_suite):
+        gated_suite([fixed_case("grid", 5.0)],
+                    bench.Gate("grid", ceiling=(None, 2.0)))
+        assert bench.run_suite("gated", quick=True)["gates"] == []
+
+    def test_cpu_conditional_gate_is_skipped_on_too_few_cpus(self):
+        """The declared sharded-layout floor, on a 1-CPU machine, is
+        recorded as skipped (with its value), never as ok."""
+        result = {
+            "quick": True,
+            "machine": {"cpu_count": 1},
+            "cases": {
+                name: {"median_s": 0.010}
+                for name in ("kernel_array", "kernel_scalar",
+                             "step_array_100k", "step_sharded_100k")
+            },
+        }
+        verdicts = {v["gate"]: v for v in
+                    bench.check_gates(result, bench._GATES["layout"])}
+        sharded = verdicts["step_array_100k/step_sharded_100k median_s"]
+        assert sharded["status"] == "skipped"
+        assert not sharded["failed"]
+        assert sharded["value"] == pytest.approx(1.0)
+        result["machine"]["cpu_count"] = 64
+        verdicts = bench.check_gates(result, bench._GATES["layout"])
+        assert [v["status"] for v in verdicts] == ["failed", "failed"]
+
+    def test_gate_on_a_missing_case_fails(self, gated_suite):
+        """Renaming a gated case cannot silently drop its floor."""
+        gated_suite([fixed_case("renamed", 0.010), fixed_case("fast", 0.001)],
+                    bench.Gate("slow", over="fast", floor=(5.0, 5.0)))
+        result = bench.run_suite("gated", quick=True)
+        (verdict,) = result["gates"]
+        assert verdict["status"] == "missing"
+        assert bench.gates_failed(result)
+
+    @pytest.mark.parametrize("suite", sorted(bench._SUITES))
+    def test_every_declared_gate_names_cases_its_suite_produces(
+        self, suite, monkeypatch
+    ):
+        """Both modes; the full-mode Grid'5000 simulation is swapped for
+        a small synthetic trace (case names do not depend on it)."""
+        from repro.trace.synthetic import random_hierarchical_trace
+
+        monkeypatch.setattr(
+            bench, "_grid5000_trace",
+            lambda: random_hierarchical_trace(n_sites=2, seed=5),
+        )
+        small_causal = bench.causal_run(2, 8)
+        monkeypatch.setattr(bench, "causal_run",
+                            lambda workers, tasks: small_causal)
+        for quick in (True, False):
+            produced = {case.name for case in bench._SUITES[suite](quick)}
+            for gate in bench._GATES[suite]:
+                if gate.bound(quick) is not None:
+                    assert set(gate.cases) <= produced, (suite, quick)
 
 
 # ----------------------------------------------------------------------
