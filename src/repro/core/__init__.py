@@ -9,7 +9,6 @@ from repro.core.aggengine import (
     AggregationEngine,
     SharedTraceData,
     SliceCache,
-    make_aggregator,
 )
 from repro.core.aggregation import (
     AggregatedEdge,
@@ -89,7 +88,6 @@ __all__ = [
     "animation_frames",
     "build_visgraph",
     "export_animation_html",
-    "make_aggregator",
     "LAYOUT_KERNELS",
     "ShardedBarnesHutLayout",
     "make_layout",

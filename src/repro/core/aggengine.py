@@ -6,8 +6,8 @@ called.  That is the same hot-path shape the vectorized Barnes-Hut
 kernel removed from the layout (PR 1), and it dominates the view loop
 when the analyst scrubs the time slice or toggles a group.
 :class:`AggregationEngine` produces *identical* views (the legacy
-function is kept as the differential-testing oracle, selected with
-``AnalysisSession(engine="scalar")``) from three cooperating caches:
+function is kept as the differential-testing oracle, which the tests
+call directly) from three cooperating caches:
 
 * a **temporal cache** (:class:`SliceCache`) per metric: one
   :class:`~repro.trace.signalbank.SignalBank` holds every entity's
@@ -43,18 +43,19 @@ layers are split along a sharing boundary:
   scrubbing the same region hit each other's work.
 
 A single-user :class:`~repro.core.session.AnalysisSession` builds a
-private :class:`SharedTraceData` and no result cache — behavior is
-unchanged.  Everything handed across the sharing boundary is genuinely
-immutable: cached mean arrays are marked read-only and the structure
-tuples are frozen, so one session can never observe another session's
-in-flight mutation (``tests/test_session_isolation.py``).
+private :class:`SharedTraceData` and no result cache, so both kinds of
+session take the same view path and the same seed memo.  Everything
+handed across the sharing boundary is genuinely immutable: cached mean
+arrays are marked read-only and the structure tuples are frozen, so one
+session can never observe another session's in-flight mutation
+(``tests/test_session_isolation.py``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -72,11 +73,13 @@ from repro.obs.spans import span
 from repro.trace.signalbank import SignalBank
 from repro.trace.trace import Trace
 
+if TYPE_CHECKING:
+    from repro.core.layout.forces import LayoutParams
+
 __all__ = [
     "AggregationEngine",
     "SharedTraceData",
     "SliceCache",
-    "make_aggregator",
 ]
 
 
@@ -263,8 +266,8 @@ class SharedTraceData:
       visited, keyed on the canonical
       :attr:`~repro.core.hierarchy.GroupingState.state_key` token (two
       sessions with the same collapsed groups share one structure);
-    * the hierarchical radial layout seeds per grouping token (the
-      quadtree seeding of Section 3.3).
+    * the layout seeds (radial or multilevel, Section 3.3) per grouping
+      token and layout parameters.
 
     Everything stored here is immutable once built, so readers take no
     lock; the lock only serializes construction.  A plain single-user
@@ -272,10 +275,11 @@ class SharedTraceData:
     instance — sharing is strictly opt-in.
     """
 
-    #: Distinct grouping structures kept before the oldest is dropped;
-    #: a bound on pathological sessions cycling through thousands of
-    #: grouping states (engines keep the structures they actively use
-    #: alive through their own references).
+    #: Distinct grouping structures (and, separately, layout seed
+    #: entries) kept before the oldest is dropped; a bound on
+    #: pathological sessions cycling through thousands of grouping
+    #: states (engines keep the structures they actively use alive
+    #: through their own references).
     MAX_STRUCTURES = 256
 
     def __init__(
@@ -299,6 +303,7 @@ class SharedTraceData:
             "structure_evictions": 0,
             "seed_builds": 0,
             "seed_shared_hits": 0,
+            "seed_evictions": 0,
         })
 
     @property
@@ -357,29 +362,35 @@ class SharedTraceData:
         built = _Structure(self.trace, grouping)
         with self._lock:
             structure = self._structures.setdefault(key, built)
-            while len(self._structures) > self.MAX_STRUCTURES:
-                self._structures.pop(next(iter(self._structures)))
-                self.stats["structure_evictions"] += 1
+            self._evict_oldest(self._structures, "structure_evictions")
         self.stats["structure_builds"] += 1
         return structure
+
+    def _evict_oldest(self, memo: dict, counter: str) -> None:
+        """Drop *memo*'s oldest entries beyond :attr:`MAX_STRUCTURES`
+        (FIFO); the caller holds the lock."""
+        while len(memo) > self.MAX_STRUCTURES:
+            memo.pop(next(iter(memo)))
+            self.stats[counter] += 1
 
     def layout_seeds(
         self,
         grouping_key: tuple,
         graph,
-        spring_length: float,
+        params: LayoutParams,
         mode: str = "radial",
-        params=None,
         seed: int = 0,
     ) -> dict[str, tuple[float, float]]:
         """Shared seed positions for one grouping's graph.
 
         ``mode`` selects the seeding strategy: ``"radial"`` (the
-        hierarchical arcs of Section 3.3) or ``"multilevel"`` (the
+        hierarchical arcs of Section 3.3, spaced by
+        ``params.spring_length``) or ``"multilevel"`` (the
         coarsen→relax→interpolate pipeline of
         :func:`~repro.core.layout.multilevel.multilevel_seeds`, which
-        needs the full *params* and the layout *seed*).  Memoized per
-        ``(grouping token, spring length, mode, seed)``; the stored
+        reads every field of *params* and the layout *seed*).  Memoized
+        per ``(grouping token, params, mode, seed)`` and bounded like
+        the structures (FIFO beyond :attr:`MAX_STRUCTURES`); the stored
         node-key set is checked so a different visual mapping (a
         different node subset) recomputes instead of serving stale
         seeds.  Returns a fresh dict — callers own their copy.
@@ -387,7 +398,7 @@ class SharedTraceData:
         from repro.core.layout.seeding import radial_seeds
 
         node_keys = frozenset(node.key for node in graph)
-        memo_key = (grouping_key, float(spring_length), mode, int(seed))
+        memo_key = (grouping_key, params, mode, int(seed))
         with self._lock:
             entry = self._seeds.get(memo_key)
         if entry is not None and entry[0] == node_keys:
@@ -401,19 +412,13 @@ class SharedTraceData:
             )
         else:
             seeds = radial_seeds(
-                self.hierarchy, graph, spring_length=spring_length
+                self.hierarchy, graph, spring_length=params.spring_length
             )
         with self._lock:
             self._seeds[memo_key] = (node_keys, seeds)
+            self._evict_oldest(self._seeds, "seed_evictions")
         self.stats["seed_builds"] += 1
         return dict(seeds)
-
-    def radial_seeds(
-        self, grouping_key: tuple, graph, spring_length: float
-    ) -> dict[str, tuple[float, float]]:
-        """Back-compat wrapper: :meth:`layout_seeds` with
-        ``mode="radial"``."""
-        return self.layout_seeds(grouping_key, graph, spring_length)
 
 
 class AggregationEngine:
@@ -686,33 +691,3 @@ class AggregationEngine:
         view.stats = dict(self.stats)
         return view
 
-
-def make_aggregator(
-    engine: str,
-    trace: Trace,
-    space_op: Callable[[Sequence[float]], float] = sum,
-    shared: SharedTraceData | None = None,
-    result_cache=None,
-    cache_owner: str | None = None,
-) -> AggregationEngine | None:
-    """``AggregationEngine`` for ``"fast"``, ``None`` for ``"scalar"``.
-
-    The scalar oracle path is the plain
-    :func:`~repro.core.aggregation.aggregate_view` call sites already
-    use; sessions switch with ``AnalysisSession(engine="scalar")``.
-    *shared*/*result_cache*/*cache_owner* forward to
-    :class:`AggregationEngine` for the multi-session server path.
-    """
-    if engine == "fast":
-        return AggregationEngine(
-            trace,
-            space_op=space_op,
-            shared=shared,
-            result_cache=result_cache,
-            cache_owner=cache_owner,
-        )
-    if engine == "scalar":
-        return None
-    raise AggregationError(
-        f"unknown aggregation engine {engine!r}; pick 'fast' or 'scalar'"
-    )

@@ -12,6 +12,11 @@ Edges follow: a trace edge ``a —(via link)— b`` contributes graph edges
 ``unit(a) — unit(via)`` and ``unit(via) — unit(b)``; edges collapsing
 onto a single unit disappear (they are *inside* the aggregate), and
 parallel edges merge with a multiplicity count.
+
+:func:`aggregate_view` is the from-scratch reference implementation.
+Sessions never call it: every :class:`~repro.core.session.AnalysisSession`
+view goes through :class:`~repro.core.aggengine.AggregationEngine`, and
+the tests hold the engine to this function.
 """
 
 from __future__ import annotations
@@ -131,8 +136,7 @@ def aggregate_view(
     net.  The production view loop uses
     :class:`~repro.core.aggengine.AggregationEngine`, which must match
     this function to roundoff on any input
-    (``tests/test_aggregation_differential.py``); sessions pick the
-    path with ``AnalysisSession(engine="fast" | "scalar")``.
+    (``tests/test_aggregation_differential.py`` calls both).
 
     Parameters
     ----------

@@ -88,11 +88,14 @@ def make_layout(
 
 
 class DynamicLayout:
-    """Maintains a force layout synchronized with a changing VisGraph."""
+    """Maintains a force layout synchronized with a changing VisGraph.
+
+    The simulation is always Barnes-Hut; *kernel* and *workers* pick its
+    execution strategy (see :func:`make_layout`).
+    """
 
     def __init__(
         self,
-        algorithm: str = "barneshut",
         params: LayoutParams | None = None,
         seed: int = 0,
         max_steps: int = 300,
@@ -101,9 +104,8 @@ class DynamicLayout:
         workers: int | None = None,
     ) -> None:
         self.layout = make_layout(
-            algorithm, params, seed, kernel=kernel, workers=workers
+            "barneshut", params, seed, kernel=kernel, workers=workers
         )
-        self.algorithm = algorithm
         self.max_steps = max_steps
         self.tolerance = tolerance
         self._rng = random.Random(seed ^ 0x5EED)

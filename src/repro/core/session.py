@@ -11,34 +11,39 @@ every interaction of Sections 3 and 4 as a method:
 * layout — :meth:`set_layout_params` (the charge/spring/damping sliders
   of Fig. 5), :meth:`drag`, :meth:`pin`.
 
-Every call to :meth:`view` rebuilds the aggregated graph for the current
-scales, reconciles the persistent dynamic layout with it (smooth
-transitions) and returns a :class:`~repro.core.view.TopologyView`.
+Every session owns a :class:`~repro.core.aggengine.SharedTraceData`:
+the one it is handed (the multi-session server's) or a private one.
+Its hierarchy, aggregation engine and layout seed memo all come from
+that object, so every call to :meth:`view` takes one path: aggregate
+the current scales, build the graph, fetch the memoised seeds,
+reconcile the persistent dynamic layout with the graph (smooth
+transitions) and return a :class:`~repro.core.view.TopologyView`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.core.aggengine import (
-    AggregationEngine,
-    SharedTraceData,
-    make_aggregator,
-)
-from repro.core.aggregation import aggregate_view
-from repro.core.hierarchy import GroupingState, Hierarchy, Path
+from repro.core.aggengine import AggregationEngine, SharedTraceData
+from repro.core.hierarchy import GroupingState, Path
 from repro.core.layout.engine import DynamicLayout
 from repro.core.layout.forces import LayoutParams
-from repro.core.layout.multilevel import multilevel_seeds
-from repro.core.layout.seeding import radial_seeds
+# Unused here; perfbench/explore.py wraps it by this module's name.
+from repro.core.layout.seeding import radial_seeds  # noqa: F401
 from repro.core.mapping import VisualMapping
 from repro.core.scaling import ScaleSet
 from repro.core.timeslice import TimeSlice, animation_frames
 from repro.core.view import TopologyView
 from repro.core.visgraph import build_visgraph
-from repro.errors import AggregationError, LayoutError
+from repro.errors import (
+    AggregationError,
+    HierarchyError,
+    LayoutError,
+    MappingError,
+)
 from repro.trace.trace import Trace
 
 __all__ = ["AnalysisSession", "SEEDING_MODES"]
@@ -57,8 +62,6 @@ class AnalysisSession:
     mapping:
         Metric-to-shape mapping; defaults to the paper's (squares for
         hosts, diamonds for links).
-    layout_algorithm:
-        ``"barneshut"`` (default, scalable) or ``"naive"`` (exact).
     layout_params:
         Initial charge/spring/damping values.
     layout_kernel:
@@ -75,28 +78,19 @@ class AnalysisSession:
         ``"multilevel"`` (coarsen→relax→interpolate over the resource
         hierarchy, :func:`~repro.core.layout.multilevel_seeds` —
         recommended for very large expanded topologies).
-    space_op:
-        Spatial combination of member values (default: sum).
     seed:
         Layout determinism seed.
-    engine:
-        Aggregation path: ``"fast"`` (default, the incremental
-        :class:`~repro.core.aggengine.AggregationEngine`) or
-        ``"scalar"`` (the legacy from-scratch
-        :func:`~repro.core.aggregation.aggregate_view`, kept as the
-        differential-testing oracle — exactly like the layout's
-        ``kernel="scalar"``).
     shared:
         A :class:`~repro.core.aggengine.SharedTraceData` holding the
         trace's immutable structures (hierarchy, signal banks, unit
-        structures, layout seeds).  The multi-session analysis server
+        structures, layout seeds); it must have been built for
+        *trace*.  The multi-session analysis server
         (:mod:`repro.server`) passes one instance to every session so
         the trace is loaded once; ``None`` (the default) builds a
-        private one — single-user behavior is unchanged.
+        private one, which the session's views use the same way.
     result_cache:
         Optional process-wide aggregation result cache shared across
-        sessions (see :class:`repro.server.cache.SharedResultCache`);
-        only meaningful with ``engine="fast"``.
+        sessions (see :class:`repro.server.cache.SharedResultCache`).
     session_id:
         Identity reported to *result_cache* so cross-session cache
         hits are attributable per session.
@@ -106,12 +100,8 @@ class AnalysisSession:
         self,
         trace: Trace,
         mapping: VisualMapping | None = None,
-        layout_algorithm: str = "barneshut",
         layout_params: LayoutParams | None = None,
-        space_op: Callable[[Sequence[float]], float] = sum,
         seed: int = 0,
-        max_pixel: float = 60.0,
-        engine: str = "fast",
         shared: SharedTraceData | None = None,
         result_cache=None,
         session_id: str | None = None,
@@ -124,32 +114,22 @@ class AnalysisSession:
                 f"unknown seeding mode {seeding!r}; "
                 f"pick one of {SEEDING_MODES}"
             )
-        if shared is not None and shared.trace is not trace:
-            raise AggregationError(
-                "shared trace data was built for a different trace"
-            )
         self.trace = trace
-        self._shared = shared
         self.session_id = session_id
-        self.hierarchy = (
-            shared.hierarchy if shared is not None
-            else Hierarchy.from_trace(trace)
-        )
-        self.grouping = GroupingState(self.hierarchy)
-        self.mapping = mapping if mapping is not None else VisualMapping.paper_default()
-        self.scales = ScaleSet(max_pixel=max_pixel)
-        self.space_op = shared.space_op if shared is not None else space_op
-        self.engine = engine
-        self._aggregator: AggregationEngine | None = make_aggregator(
-            engine,
+        # The engine rejects a *shared* built for another trace and
+        # builds a private SharedTraceData when none is handed in.
+        self._aggregator = AggregationEngine(
             trace,
-            space_op=space_op,
             shared=shared,
             result_cache=result_cache,
             cache_owner=session_id,
         )
+        self._shared = self._aggregator.shared
+        self.hierarchy = self._shared.hierarchy
+        self.grouping = GroupingState(self.hierarchy)
+        self.mapping = mapping if mapping is not None else VisualMapping.paper_default()
+        self.scales = ScaleSet()
         self.dynamic = DynamicLayout(
-            layout_algorithm,
             layout_params,
             seed,
             kernel=layout_kernel,
@@ -265,8 +245,8 @@ class AnalysisSession:
     def aggregation_stats(self) -> dict:
         """Counters of the fast aggregation engine (cache hits, delta
         vs full integrations, ns timings) — the aggregation analogue of
-        :attr:`DynamicLayout.stats`.  Empty for ``engine="scalar"``."""
-        return dict(self._aggregator.stats) if self._aggregator else {}
+        :attr:`DynamicLayout.stats`."""
+        return dict(self._aggregator.stats)
 
     # ------------------------------------------------------------------
     # Session persistence
@@ -305,31 +285,68 @@ class AnalysisSession:
     def load_state(self, path: "str | pathlib.Path") -> None:
         """Restore a state written by :meth:`save_state`.
 
-        Groups and positions referring to entities absent from the
-        current trace are skipped silently (traces evolve).
+        The whole file is validated before anything is applied: a
+        malformed file raises :class:`~repro.errors.AggregationError`
+        and leaves the session as it was.  Groups and positions
+        referring to entities absent from the current trace are skipped
+        silently (traces evolve).
         """
-        state = json.loads(pathlib.Path(path).read_text())
-        if state.get("version") != 1:
-            raise AggregationError(
-                f"unsupported session state version {state.get('version')!r}"
-            )
-        start, end = state["time_slice"]
-        self._tslice = TimeSlice(float(start), float(end))
+        try:
+            state = json.loads(pathlib.Path(path).read_text())
+        except ValueError as exc:
+            raise AggregationError(f"session state is not JSON: {exc}") from exc
+        tslice, collapsed, sliders, params, positions = self._parse_state(state)
+        self._tslice = tslice
         self.grouping.expand_all()
-        for group in state.get("collapsed", []):
+        for group in collapsed:
             try:
-                self.grouping.collapse(tuple(group))
-            except Exception:
+                self.grouping.collapse(group)
+            except HierarchyError:
                 continue
-        for kind, position in state.get("sliders", {}).items():
-            self.scales.set_slider(kind, float(position))
-        self.set_layout_params(**state.get("layout_params", {}))
-        positions = state.get("positions", {})
+        for kind, position in sliders.items():
+            self.scales.set_slider(kind, position)
+        self.dynamic.set_params(params)
         # Rebuild the current view's layout, then pin down saved spots.
         self.view(settle=False)
-        for key, (x, y) in positions.items():
+        for key, position in positions.items():
             if key in self.dynamic.layout:
-                self.dynamic.drag(key, (float(x), float(y)))
+                self.dynamic.drag(key, position)
+
+    def _parse_state(self, state) -> tuple:
+        """``(tslice, collapsed, sliders, params, positions)`` of a
+        :meth:`save_state` document, or :class:`AggregationError`."""
+        version = state.get("version") if isinstance(state, dict) else None
+        if version != 1:
+            raise AggregationError(
+                f"unsupported session state version {version!r}"
+            )
+        try:
+            start, end = state["time_slice"]
+            tslice = TimeSlice(_number(start), _number(end))
+            collapsed = state.get("collapsed", [])
+            if not isinstance(collapsed, list) or not all(
+                isinstance(group, list) and all(isinstance(n, str) for n in group)
+                for group in collapsed
+            ):
+                raise ValueError(f"collapsed is not a list of paths: {collapsed!r}")
+            sliders = {
+                kind: _number(position)
+                for kind, position in _object(state, "sliders").items()
+            }
+            for kind, position in sliders.items():  # ScaleSet's range check
+                ScaleSet().set_slider(kind, position)
+            params = self.dynamic.params.with_(**{
+                name: _number(value)
+                for name, value in _object(state, "layout_params").items()
+            })
+            positions = {
+                key: (_number(x), _number(y))
+                for key, (x, y) in _object(state, "positions").items()
+            }
+        except (KeyError, TypeError, ValueError, LayoutError, MappingError) as exc:
+            raise AggregationError(f"malformed session state: {exc}") from exc
+        groups = [tuple(group) for group in collapsed]
+        return tslice, groups, sliders, params, positions
 
     # ------------------------------------------------------------------
     # View production
@@ -341,43 +358,19 @@ class AnalysisSession:
         metrics: Sequence[str] | None = None,
     ) -> TopologyView:
         """Build the view for the current time slice and grouping."""
-        if self._aggregator is not None:
-            aggregated = self._aggregator.view(
-                self.grouping, self._tslice, metrics=metrics
-            )
-        else:
-            aggregated = aggregate_view(
-                self.trace,
-                self.grouping,
-                self._tslice,
-                metrics=metrics,
-                space_op=self.space_op,
-            )
+        aggregated = self._aggregator.view(
+            self.grouping, self._tslice, metrics=metrics
+        )
         if not aggregated.units:
             raise AggregationError("the trace has no entities to display")
         graph = build_visgraph(aggregated, self.mapping, self.scales)
-        if self._shared is not None:
-            seeds = self._shared.layout_seeds(
-                self.grouping.state_key,
-                graph,
-                self.dynamic.params.spring_length,
-                mode=self.seeding,
-                params=self.dynamic.params,
-                seed=self._seed,
-            )
-        elif self.seeding == "multilevel":
-            seeds, _levels = multilevel_seeds(
-                self.hierarchy,
-                graph,
-                params=self.dynamic.params,
-                seed=self._seed,
-            )
-        else:
-            seeds = radial_seeds(
-                self.hierarchy,
-                graph,
-                spring_length=self.dynamic.params.spring_length,
-            )
+        seeds = self._shared.layout_seeds(
+            self.grouping.state_key,
+            graph,
+            self.dynamic.params,
+            mode=self.seeding,
+            seed=self._seed,
+        )
         self.dynamic.sync(graph, seed_positions=seeds)
         if settle:
             self.dynamic.settle(max_steps=settle_steps)
@@ -402,3 +395,21 @@ class AnalysisSession:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+
+def _number(value) -> float:
+    """*value* as a float if it is a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _object(state: dict, field: str) -> dict:
+    """The optional JSON object *field* of *state* (empty if absent)."""
+    value = state.get(field, {})
+    if not isinstance(value, dict):
+        raise TypeError(f"{field} is not an object: {value!r}")
+    return value

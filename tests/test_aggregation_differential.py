@@ -16,7 +16,6 @@ import pytest
 from repro.core import AggregationEngine, AnalysisSession, TimeSlice
 from repro.core.aggregation import aggregate_view
 from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.errors import AggregationError
 from repro.trace import CAPACITY, USAGE
 from repro.trace.synthetic import figure3_trace, random_hierarchical_trace
 
@@ -180,29 +179,16 @@ def test_zero_width_slice_matches_oracle():
 
 
 def test_session_engines_agree():
-    """AnalysisSession(engine='fast') and 'scalar' see identical data."""
+    """A session's views equal the scalar oracle on its own scales."""
     trace = random_hierarchical_trace(n_sites=2, seed=13)
-    fast = AnalysisSession(trace, seed=1, engine="fast")
-    slow = AnalysisSession(trace, seed=1, engine="scalar")
-    for session in (fast, slow):
-        session.aggregate_depth(2)
-        session.set_time_slice(20.0, 70.0)
-    view_fast = fast.view(settle=False)
-    view_slow = slow.view(settle=False)
-    assert_views_equal(view_fast.aggregated, view_slow.aggregated)
-    assert view_fast.total(CAPACITY) == pytest.approx(
-        view_slow.total(CAPACITY), rel=RTOL
-    )
-    # The stats surfaces reflect the engine choice.
-    assert fast.aggregation_stats["views"] == 1
-    assert view_fast.agg_stats["views"] == 1
-    assert slow.aggregation_stats == {}
-    assert view_slow.agg_stats == {}
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(AggregationError):
-        AnalysisSession(figure3_trace(), engine="warp-drive")
+    session = AnalysisSession(trace, seed=1)
+    session.aggregate_depth(2)
+    session.set_time_slice(20.0, 70.0)
+    view = session.view(settle=False)
+    oracle = aggregate_view(trace, session.grouping, session.time_slice)
+    assert_views_equal(view.aggregated, oracle)
+    assert session.aggregation_stats["views"] == 1
+    assert view.agg_stats["views"] == 1
 
 
 def test_delta_windows_identity():

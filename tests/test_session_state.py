@@ -75,3 +75,80 @@ class TestSaveLoad:
         other.load_state(path)
         view = other.view(settle_steps=0)
         assert any(n.is_aggregate for n in view.nodes())
+
+
+def valid_state():
+    """A well-formed state document for :func:`figure3_trace`."""
+    return {
+        "version": 1,
+        "time_slice": [0.1, 0.9],
+        "collapsed": [["GroupB", "GroupA"]],
+        "sliders": {"host": 0.3},
+        "layout_params": {"charge": 500.0},
+        "positions": {},
+    }
+
+
+def without(field):
+    state = valid_state()
+    del state[field]
+    return state
+
+
+def with_(**fields):
+    state = valid_state()
+    state.update(fields)
+    return state
+
+
+MALFORMED = {
+    "not_json": "{not json",
+    "not_an_object": [1, 2],
+    "no_time_slice": without("time_slice"),
+    "time_slice_not_pair": with_(time_slice=[0.1]),
+    "time_slice_text": with_(time_slice=["a", 0.9]),
+    "time_slice_reversed": with_(time_slice=[0.9, 0.1]),
+    "collapsed_not_paths": with_(collapsed=[5]),
+    "collapsed_not_list": with_(collapsed="GroupB"),
+    "slider_text": with_(sliders={"host": "high"}),
+    "slider_out_of_range": with_(sliders={"host": 3.0}),
+    "sliders_not_object": with_(sliders=[0.3]),
+    "unknown_layout_param": with_(layout_params={"gravity": 1.0}),
+    "bad_layout_param": with_(layout_params={"damping": 5.0}),
+    "position_not_pair": with_(positions={"A1": 3.0}),
+}
+
+
+class TestMalformedState:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_rejected_before_anything_changes(self, tmp_path, name):
+        session = configured_session()
+        before = (
+            session.time_slice,
+            set(session.grouping.collapsed),
+            session.scales.slider("host"),
+            session.dynamic.params,
+        )
+        document = MALFORMED[name]
+        path = tmp_path / "bad.json"
+        path.write_text(
+            document if isinstance(document, str) else json.dumps(document)
+        )
+        with pytest.raises(AggregationError):
+            session.load_state(path)
+        assert (
+            session.time_slice,
+            set(session.grouping.collapsed),
+            session.scales.slider("host"),
+            session.dynamic.params,
+        ) == before
+
+    def test_valid_document_applies(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(valid_state()))
+        session = AnalysisSession(figure3_trace())
+        session.load_state(path)
+        assert session.time_slice.as_tuple() == (0.1, 0.9)
+        assert ("GroupB", "GroupA") in session.grouping.collapsed
+        assert session.scales.slider("host") == 0.3
+        assert session.dynamic.params.charge == 500.0
