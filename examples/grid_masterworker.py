@@ -17,7 +17,8 @@ The script reproduces:
   baseline that spreads work uniformly.
 
 By default a reduced grid (~270 hosts) keeps the run under ~10 s; pass
-``--full`` for the paper's 2170-host platform (about a minute).
+``--full`` for the paper's 2170-host platform (its simulation takes a
+few seconds).
 
 Run:  python examples/grid_masterworker.py [--full]
 """
@@ -29,32 +30,13 @@ from pathlib import Path
 
 from repro.apps import Policy, paper_workload, run_master_worker
 from repro.core import AnalysisSession, VisualMapping, render_svg
-from repro.platform import (
-    GRID5000_SITES,
-    ClusterSpec,
-    SiteSpec,
-    grid5000_platform,
-)
+from repro.platform import GRID5000_SITES, grid5000_platform, reduced_sites
 from repro.simulation import UsageMonitor
 from repro.trace import CAPACITY
 
 OUT = Path(__file__).resolve().parent / "output"
 
 LEVELS = {1: "grid", 2: "sites", 3: "clusters", 4: "hosts"}
-
-
-def reduced_sites(factor: int = 8):
-    """The Grid'5000 inventory with every cluster shrunk by *factor*."""
-    return tuple(
-        SiteSpec(
-            site.name,
-            tuple(
-                ClusterSpec(c.name, max(2, c.n_hosts // factor), c.host_power)
-                for c in site.clusters
-            ),
-        )
-        for site in GRID5000_SITES
-    )
 
 
 def site_shares(platform, result, app):

@@ -9,7 +9,7 @@ measured.  SVG "screenshots" for Figures 1 through 9 land in
 Run:  python examples/reproduce_paper.py [--full]
 
 ``--full`` runs the Grid'5000 case study at the paper's 2170-host scale
-(about a minute of simulation); the default uses the reduced grid.
+(a few seconds of simulation); the default uses the reduced grid.
 """
 
 import argparse

@@ -25,7 +25,8 @@ attribute resource consumption per application.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -188,24 +189,89 @@ def _static_bandwidth(platform: Platform, app: AppSpec, worker: str) -> float:
     return app.input_bytes / transfer
 
 
+class PendingRequests:
+    """The master's queue of worker requests, served by policy.
+
+    Every request is one entry for its worker, in arrival order.  Under
+    :attr:`Policy.FIFO` :meth:`pop` returns the oldest request's worker.
+    Under :attr:`Policy.BANDWIDTH_CENTRIC` it returns the worker with the
+    largest bandwidth estimate, the oldest request winning a tie — the
+    worker ``max(range(len(pending)), key=...)`` would pick from the
+    arrival-ordered list — in O(log n) instead of O(n).
+
+    The bandwidth-centric queue is a heap keyed on ``(-estimate, arrival
+    sequence)``.  :meth:`set_estimate` pushes fresh entries for the
+    worker's queued requests and stamps the worker with a new version;
+    the superseded entries are dropped when they reach the top.
+    """
+
+    def __init__(self, policy: str, estimates: dict[str, float]) -> None:
+        self._fifo = policy == Policy.FIFO
+        self._estimates = estimates
+        self._order: deque[str] = deque()
+        # bandwidth-centric state
+        self._heap: list[tuple[float, int, str, int]] = []
+        self._seq = 0
+        self._version: dict[str, int] = {}
+        # worker -> arrival sequences of its queued requests, oldest first
+        self._queued: dict[str, deque[int]] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return len(self._order) if self._fifo else self._size
+
+    def push(self, worker: str) -> None:
+        """Queue one request from *worker*."""
+        if self._fifo:
+            self._order.append(worker)
+            return
+        seq = self._seq
+        self._seq += 1
+        self._queued.setdefault(worker, deque()).append(seq)
+        version = self._version.setdefault(worker, 0)
+        heapq.heappush(
+            self._heap, (-self._estimates[worker], seq, worker, version)
+        )
+        self._size += 1
+
+    def set_estimate(self, worker: str, estimate: float) -> None:
+        """Record *worker*'s new bandwidth estimate."""
+        self._estimates[worker] = estimate
+        if self._fifo:
+            return
+        version = self._version.get(worker, 0) + 1
+        self._version[worker] = version
+        for seq in self._queued.get(worker, ()):
+            heapq.heappush(self._heap, (-estimate, seq, worker, version))
+
+    def pop(self) -> str:
+        """Dequeue the request served next; return its worker."""
+        if self._fifo:
+            return self._order.popleft()
+        heap = self._heap
+        while True:
+            __, seq, worker, version = heapq.heappop(heap)
+            if version == self._version[worker]:
+                break
+        # A worker's queued entries share one key but for the sequence,
+        # so the one served is its oldest.
+        self._queued[worker].popleft()
+        self._size -= 1
+        return worker
+
+
 def _master(ctx, app: AppSpec, workers: Sequence[str], policy: str, result: AppResult):
     """Master loop: queue requests, serve them by policy, then shut down."""
     platform = ctx.platform
     estimates = {
         worker: _static_bandwidth(platform, app, worker) for worker in workers
     }
-    pending: list[str] = []
+    pending = PendingRequests(policy, estimates)
     in_flight = 0
     remaining = app.n_tasks
     while remaining > 0 or in_flight > 0:
         while pending and in_flight < app.parallel_sends and remaining > 0:
-            if policy == Policy.BANDWIDTH_CENTRIC:
-                index = max(
-                    range(len(pending)), key=lambda i: estimates[pending[i]]
-                )
-            else:
-                index = 0
-            worker = pending.pop(index)
+            worker = pending.pop()
             ctx.spawn(_sender, ctx.host, f"{app.name}-send", app, worker)
             in_flight += 1
             remaining -= 1
@@ -214,11 +280,12 @@ def _master(ctx, app: AppSpec, workers: Sequence[str], policy: str, result: AppR
         message = yield ctx.recv(_master_mailbox(app))
         payload = message.payload
         if payload["type"] == "request":
-            pending.append(payload["worker"])
+            pending.push(payload["worker"])
         elif payload["type"] == "done":
             in_flight -= 1
-            estimates[payload["worker"]] = app.input_bytes / max(
-                payload["duration"], 1e-12
+            pending.set_estimate(
+                payload["worker"],
+                app.input_bytes / max(payload["duration"], 1e-12),
             )
         else:  # pragma: no cover - defensive
             raise SimulationError(f"master got {payload!r}")

@@ -647,20 +647,56 @@ def master_worker_sim(n_workers: int, tasks: int):
 
 @_suite("sim")
 def _sim_suite(quick: bool) -> list[BenchCase]:
-    """One full small master/worker discrete-event simulation per call."""
+    """Discrete-event simulations, each built and run whole per call.
+
+    ``master_worker`` is a small star with no monitor.
+    ``grid_master_worker`` is the Section 5.2 pair on Grid'5000 (every
+    cluster shrunk 8x when quick) under a
+    :class:`~repro.simulation.UsageMonitor`: it pays the per-settle
+    costs that grow with the platform — availability wakeups, link
+    monitoring and the master's worker choice.
+    """
+    from repro.apps import paper_workload, run_master_worker
+    from repro.platform import grid5000_platform, reduced_sites
+    from repro.simulation import UsageMonitor
+
     n_workers = 4 if quick else 16
     tasks = 2 if quick else 4
+    grid_tasks_per_worker = 0.5 if quick else 0.25
 
     def make():
         """Each call builds and runs the whole simulation."""
         return lambda: master_worker_sim(n_workers, tasks).run()
+
+    def make_grid():
+        """The platform is built once; each call runs a fresh monitor."""
+        if quick:
+            platform = grid5000_platform(sites=reduced_sites())
+        else:
+            platform = grid5000_platform()
+        apps = paper_workload(platform, tasks_per_worker=grid_tasks_per_worker)
+
+        def run():
+            """One monitored simulation of both applications."""
+            run_master_worker(platform, apps, monitor=UsageMonitor(platform))
+
+        return run
 
     return [
         BenchCase(
             "master_worker",
             make,
             {"workers": n_workers, "tasks_per_worker": tasks},
-        )
+        ),
+        BenchCase(
+            "grid_master_worker",
+            make_grid,
+            {
+                "platform": "grid5000/8" if quick else "grid5000",
+                "tasks_per_worker": grid_tasks_per_worker,
+                "monitor": True,
+            },
+        ),
     ]
 
 

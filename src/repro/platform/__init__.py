@@ -11,6 +11,7 @@ from repro.platform.grid5000 import (
     ClusterSpec,
     SiteSpec,
     grid5000_platform,
+    reduced_sites,
 )
 from repro.platform.model import (
     GBPS,
@@ -45,6 +46,7 @@ __all__ = [
     "add_cluster",
     "fattree_platform",
     "grid5000_platform",
+    "reduced_sites",
     "torus_platform",
     "two_cluster_platform",
 ]

@@ -27,7 +27,13 @@ from repro.platform.model import (
 from repro.platform.cluster import add_cluster
 from repro.platform.topology import Platform
 
-__all__ = ["ClusterSpec", "SiteSpec", "GRID5000_SITES", "grid5000_platform"]
+__all__ = [
+    "ClusterSpec",
+    "SiteSpec",
+    "GRID5000_SITES",
+    "grid5000_platform",
+    "reduced_sites",
+]
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,22 @@ GRID5000_SITES: tuple[SiteSpec, ...] = (
 
 #: Total host count — must match the paper's "2170 computing hosts".
 TOTAL_HOSTS = sum(c.n_hosts for s in GRID5000_SITES for c in s.clusters)
+
+
+def reduced_sites(factor: int = 8) -> tuple[SiteSpec, ...]:
+    """The Grid'5000 inventory with every cluster shrunk by *factor*
+    (at least two hosts each): about 270 hosts at the default 8, the
+    size the smoke runs and the quick benchmarks simulate."""
+    return tuple(
+        SiteSpec(
+            site.name,
+            tuple(
+                ClusterSpec(c.name, max(2, c.n_hosts // factor), c.host_power)
+                for c in site.clusters
+            ),
+        )
+        for site in GRID5000_SITES
+    )
 
 
 def grid5000_platform(

@@ -13,6 +13,7 @@ Units are SI throughout: computing power in **flops/s**, bandwidth in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from repro.errors import PlatformError
@@ -189,26 +190,27 @@ class Link:
 def _next_breakpoint(availability: Signal | None, time: float) -> float | None:
     if availability is None:
         return None
-    for breakpoint_time in availability.times:
-        if breakpoint_time > time:
-            return breakpoint_time
-    return None
+    return availability.next_breakpoint(time)
 
 
 @dataclass(frozen=True)
 class Route:
-    """An ordered sequence of links between two hosts."""
+    """An ordered sequence of links between two hosts.
+
+    ``latency`` and ``bottleneck`` are computed once per route, on first
+    use: the links of a frozen route never change.
+    """
 
     src: str
     dst: str
     links: tuple[Link, ...] = field(default_factory=tuple)
 
-    @property
+    @cached_property
     def latency(self) -> float:
         """Total latency of the route (sum of link latencies)."""
         return sum(link.latency for link in self.links)
 
-    @property
+    @cached_property
     def bottleneck(self) -> float:
         """Bandwidth of the narrowest shared link (inf if none)."""
         shared = [

@@ -11,6 +11,12 @@ blocks; only then are resource shares re-computed (once), completion
 events re-scheduled, and monitors updated.  This batching keeps the
 max-min solver from running once per event when many things happen at
 the same instant.
+
+A settle's work is proportional to what changed, not to the platform:
+availability wakeups visit only the hosts and links indexed at
+construction as having a profile (none on Grid'5000), and the monitor
+touches only links whose traffic changed.  Same-time wakeups keep a
+fixed visiting order, so the trace stays byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Any, Callable
 from repro.errors import DeadlockError, SimulationError
 from repro.obs.registry import registry
 from repro.obs.spans import span
-from repro.platform.model import Host, Route
+from repro.platform.model import Host, Link, Route
 from repro.platform.topology import Platform
 from repro.simulation.activities import (
     Activity,
@@ -91,6 +97,15 @@ class Simulator:
         self._net_dirty = False
         #: next scheduled availability wakeup per resource (dedup)
         self._availability_wakeups: dict[str, float] = {}
+        #: the only resources a settle looks at for availability wakeups:
+        #: hosts and links whose profile has a breakpoint (none on a
+        #: platform without profiles, so settles then skip the scan)
+        self._profiled_hosts = frozenset(
+            h.name for h in platform.hosts if _has_breakpoints(h)
+        )
+        self._profiled_links = frozenset(
+            l.name for l in platform.links if _has_breakpoints(l)
+        )
         #: engine counters — a :class:`repro.obs.StatGroup` registered
         #: process-wide under ``sim``: ``events`` handled, ``turns``
         #: (distinct timestamps), ``settles`` (max-min solver runs),
@@ -474,17 +489,27 @@ class Simulator:
 
     def _schedule_availability_wakeups(self) -> None:
         """Re-rate resources with availability profiles at their next
-        breakpoint, so rates track the profiles even between events."""
-        for host_name, running in list(self.cpu._running.items()):
-            if not running:
-                continue
-            host = self.platform.host(host_name)
-            when = host.next_availability_change(self.now)
-            self._maybe_wake(f"h:{host_name}", when, host_name, None)
-        for flow in self.network.flows:
-            for link in flow.shared_links + flow.fatpipe_links:
-                when = link.next_availability_change(self.now)
-                self._maybe_wake(f"l:{link.name}", when, None, link.name)
+        breakpoint, so rates track the profiles even between events.
+
+        Only profiled resources are visited, in a fixed order — running
+        hosts in ``cpu._running`` order, then flow links in
+        ``network.flows`` order — so wakeups that fall at the same time
+        always take the same heap sequence numbers.
+        """
+        if self._profiled_hosts:
+            for host_name, running in list(self.cpu._running.items()):
+                if not running or host_name not in self._profiled_hosts:
+                    continue
+                host = self.platform.host(host_name)
+                when = host.next_availability_change(self.now)
+                self._maybe_wake(f"h:{host_name}", when, host_name, None)
+        if self._profiled_links:
+            for flow in self.network.flows:
+                for link in flow.shared_links + flow.fatpipe_links:
+                    if link.name not in self._profiled_links:
+                        continue
+                    when = link.next_availability_change(self.now)
+                    self._maybe_wake(f"l:{link.name}", when, None, link.name)
 
     def _maybe_wake(
         self,
@@ -509,3 +534,8 @@ class Simulator:
                 self._net_dirty = True
 
         self._push(when, _CALLBACK, wake, 0)
+
+
+def _has_breakpoints(resource: Host | Link) -> bool:
+    """Whether *resource*'s availability profile ever changes."""
+    return resource.availability is not None and len(resource.availability) > 0

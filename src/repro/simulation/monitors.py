@@ -10,6 +10,11 @@ the two competing applications of Section 5.2 are told apart.
 whose entities carry the platform hierarchy paths, and whose edges come
 from the physical topology — the "fixed, previously defined" connection
 source of Section 3.1.1.
+
+Link samples arrive once per network settle for every link carrying a
+flow; a link whose per-category rates are unchanged (same items, same
+order) is skipped, and a link that stopped carrying traffic is zeroed
+once, so a settle costs the busy links rather than every link seen.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ class UsageMonitor:
         # resource name -> category -> builder ("" = total)
         self._hosts: dict[str, dict[str, SignalBuilder]] = {}
         self._links: dict[str, dict[str, SignalBuilder]] = {}
+        # link name -> the (category, rate) items it was last set to, for
+        # links whose last items were not empty
+        self._busy_links: dict[str, tuple[tuple[str, float], ...]] = {}
         self._messages: list[PointEvent] = []
         self._states: list[PointEvent] = []
         self._dropped_messages = 0
@@ -81,12 +89,28 @@ class UsageMonitor:
     def update_links(
         self, now: float, rates: dict[str, dict[str, float]]
     ) -> None:
-        """Record per-link traffic; links absent from *rates* go to zero."""
-        for link in self._links:
-            if link not in rates:
-                self._update(self._links, now, link, {})
+        """Record per-link traffic; links absent from *rates* go to zero.
+
+        A link whose ``(category, rate)`` items equal, in order, the ones
+        it was last set to is skipped: re-setting them would be a no-op
+        for every builder (same values, see :meth:`SignalBuilder.set`).
+        The comparison is order-sensitive because the total is a ``sum``
+        over the items, which can differ in the last bit when they are
+        reordered.
+        """
+        busy = self._busy_links
+        for link in [link for link in busy if link not in rates]:
+            del busy[link]
+            self._update(self._links, now, link, {})
         for link, by_category in rates.items():
+            items = tuple(by_category.items())
+            if link in self._links and busy.get(link, ()) == items:
+                continue
             self._update(self._links, now, link, by_category)
+            if items:
+                busy[link] = items
+            else:
+                busy.pop(link, None)
 
     def _update(
         self,

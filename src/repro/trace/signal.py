@@ -157,6 +157,11 @@ class Signal:
             return self._initial
         return self._values[idx - 1]
 
+    def next_breakpoint(self, t: float) -> float | None:
+        """The first breakpoint strictly after *t* (``None`` past the last)."""
+        idx = bisect_right(self._times, t)
+        return self._times[idx] if idx < len(self._times) else None
+
     def span(self) -> tuple[float, float]:
         """``(first, last)`` breakpoint times; raises if the signal is empty."""
         if not self._times:

@@ -44,6 +44,58 @@ class TestModel:
         assert Host("x", 1.0).next_availability_change(0.0) is None
 
 
+class TestWakeupIndex:
+    """Settles visit only resources whose profile has a breakpoint."""
+
+    def test_unprofiled_platform_never_asks(self, monkeypatch):
+        def refuse(self, time):
+            raise AssertionError(f"{self.name} asked for its next change")
+
+        monkeypatch.setattr(Host, "next_availability_change", refuse)
+        monkeypatch.setattr(Link, "next_availability_change", refuse)
+        p = platform_with(host_avail=Signal((), (), initial=0.5))
+        sim = Simulator(p)
+
+        def job(ctx):
+            yield ctx.send("b", 500.0, "in")
+            yield ctx.execute(100.0)
+
+        def sink(ctx):
+            yield ctx.recv("in")
+
+        sim.spawn(job, "a")
+        sim.spawn(sink, "b")
+        # 500 bytes at 1000 B/s, then 100 flops at half of 100 flops/s.
+        assert sim.run() == pytest.approx(2.5)
+
+    def test_only_profiled_resources_are_asked(self, monkeypatch):
+        asked = []
+        for cls in (Host, Link):
+            original = cls.next_availability_change
+
+            def spy(self, time, original=original):
+                asked.append(self.name)
+                return original(self, time)
+
+            monkeypatch.setattr(cls, "next_availability_change", spy)
+        p = platform_with(link_avail=Signal([0.2], [0.5], initial=1.0))
+        sim = Simulator(p)
+
+        def job(ctx):
+            yield ctx.execute(10.0)
+            yield ctx.send("b", 500.0, "in")
+
+        def sink(ctx):
+            yield ctx.recv("in")
+
+        sim.spawn(job, "a")
+        sim.spawn(sink, "b")
+        # 0.1 s of compute; 100 bytes by the 0.2 s breakpoint, then the
+        # remaining 400 at 500 B/s.
+        assert sim.run() == pytest.approx(1.0)
+        assert asked and set(asked) == {"l"}
+
+
 class TestComputeUnderAvailability:
     def test_compute_slows_when_power_drops(self):
         # 100 flops/s for 5s, then 25 flops/s: 1000 flops takes

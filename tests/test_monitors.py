@@ -1,6 +1,8 @@
 """Focused unit tests for the usage monitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform import Host, Link, Platform
 from repro.simulation import Simulator, UsageMonitor, category_metric
@@ -122,6 +124,62 @@ class TestMonitorMechanics:
 
         sim.spawn(job, "a")
         assert sim.run() == pytest.approx(1.0)
+
+
+class RewriteEveryLink(UsageMonitor):
+    """Oracle: re-set every link ever seen on every network settle."""
+
+    def update_links(self, now, rates):
+        for link in self._links:
+            if link not in rates:
+                self._update(self._links, now, link, {})
+        for link, by_category in rates.items():
+            self._update(self._links, now, link, by_category)
+
+
+# Per-category rates from a small pool: repeats are the common case,
+# and 0.1 + 0.2 + 0.3 depends on the summation order in the last bit.
+LINK_RATES = st.dictionaries(
+    st.sampled_from(["", "x", "y", "z"]),
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 5.0]),
+    min_size=1,
+)
+SETTLES = st.lists(
+    st.dictionaries(st.sampled_from(["l0", "l1", "l2"]), LINK_RATES),
+    max_size=25,
+)
+
+
+def _link_signals(monitor):
+    return {
+        (link, category): builder.build()
+        for link, builders in monitor._links.items()
+        for category, builder in builders.items()
+    }
+
+
+class TestLinkUpdateSkipping:
+    """``update_links`` skips links whose items did not change, and the
+    signals it records are exactly those of re-setting every link."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(settles=SETTLES, same_time=st.booleans())
+    def test_matches_rewriting_every_link(self, settles, same_time):
+        fast, oracle = UsageMonitor(platform()), RewriteEveryLink(platform())
+        for step, rates in enumerate(settles):
+            now = float(step // 2 if same_time else step)
+            fast.update_links(now, rates)
+            oracle.update_links(now, rates)
+        assert list(fast._links) == list(oracle._links)
+        assert _link_signals(fast) == _link_signals(oracle)
+
+    def test_reordered_items_are_recorded(self):
+        monitor = UsageMonitor(platform())
+        monitor.update_links(0.0, {"l": {"a": 0.1, "b": 0.2, "c": 0.3}})
+        monitor.update_links(1.0, {"l": {"c": 0.3, "b": 0.2, "a": 0.1}})
+        total = monitor._links["l"][""].build()
+        assert total.times == (0.0, 1.0)
+        assert total.values == ((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1)
 
 
 class TestMessagePayloadSchema:

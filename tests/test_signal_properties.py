@@ -185,3 +185,44 @@ def test_reversed_and_non_finite_windows_raise(signal):
             signal.integrate(bad, 2.0)
         with pytest.raises(SignalError):
             signal.mean(0.0, bad)
+
+
+def linear_next_breakpoint(signal: Signal, t: float):
+    """Oracle: the first breakpoint strictly after *t*, by a scan."""
+    for breakpoint_time in signal.times:
+        if breakpoint_time > t:
+            return breakpoint_time
+    return None
+
+
+@st.composite
+def signals_and_query(draw):
+    """A signal plus a query time that may sit exactly on a breakpoint,
+    before the first one or after the last one."""
+    signal = draw(signals())
+    candidates = [st.floats(min_value=-80.0, max_value=200.0)]
+    if len(signal):
+        first, last = signal.span()
+        candidates += [
+            st.sampled_from(signal.times),
+            st.floats(min_value=first - 10.0, max_value=first, exclude_max=True),
+            st.floats(min_value=last, max_value=last + 10.0),
+        ]
+    return signal, draw(st.one_of(*candidates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signals_and_query())
+def test_next_breakpoint_matches_linear_scan(case):
+    signal, t = case
+    assert signal.next_breakpoint(t) == linear_next_breakpoint(signal, t)
+
+
+def test_next_breakpoint_edges():
+    signal = Signal([1.0, 2.0, 4.0], [5.0, 6.0, 7.0])
+    assert signal.next_breakpoint(0.0) == 1.0
+    assert signal.next_breakpoint(1.0) == 2.0  # strictly after
+    assert signal.next_breakpoint(3.0) == 4.0
+    assert signal.next_breakpoint(4.0) is None
+    assert signal.next_breakpoint(9.0) is None
+    assert constant(3.0).next_breakpoint(0.0) is None

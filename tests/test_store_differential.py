@@ -21,31 +21,17 @@ import pytest
 from repro.apps import paper_workload, run_master_worker
 from repro.core import AggregationEngine, TimeSlice
 from repro.core.hierarchy import GroupingState, Hierarchy
-from repro.platform import GRID5000_SITES, ClusterSpec, SiteSpec, grid5000_platform
+from repro.platform import grid5000_platform, reduced_sites
 from repro.simulation import UsageMonitor
 from repro.trace.store import open_store, write_store
 
 from tests.test_aggregation_differential import scrub_sequence
 
 
-def _reduced_sites(factor=8):
-    """The Grid'5000 inventory with every cluster shrunk by *factor*."""
-    return tuple(
-        SiteSpec(
-            site.name,
-            tuple(
-                ClusterSpec(c.name, max(2, c.n_hosts // factor), c.host_power)
-                for c in site.clusters
-            ),
-        )
-        for site in GRID5000_SITES
-    )
-
-
 @pytest.fixture(scope="module")
 def grid_trace():
     """The reduced Grid'5000 trace of the paper's Section 5.2 workload."""
-    platform = grid5000_platform(sites=_reduced_sites())
+    platform = grid5000_platform(sites=reduced_sites())
     monitor = UsageMonitor(platform)
     app1, app2 = paper_workload(platform, tasks_per_worker=0.5)
     run_master_worker(platform, [app1, app2], monitor=monitor)
